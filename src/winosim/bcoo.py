@@ -18,8 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import (
+    _AXIS_BITS,
+    _AXIS_LIMIT,
     TransformedBatch,
     ZMortonMatrix,
+    _compact_bits,
+    _morton_encode_array,
+    _next_pow2,
     from_zmorton,
     to_zmorton,
     zmorton_zeros,
@@ -63,8 +68,22 @@ class BcooMatrix:
     def block_nnz(self) -> np.ndarray:
         return np.diff(self.bi)
 
+    def owners(self) -> np.ndarray:
+        """Position in BN of the block holding each nonzero."""
+        return np.repeat(np.arange(len(self.bn)), np.diff(self.bi))
+
+    def block_stack(self) -> np.ndarray:
+        """The stored blocks as a dense (len(BN), l, l) stack, in BN order."""
+        stack = np.zeros((len(self.bn), self.l, self.l))
+        stack[self.owners(), self.ai, self.aj] = self.an
+        return stack
+
     def validate(self) -> None:
-        zm = zmorton_zeros(self.rows, self.cols, self.l)
+        l = self.l
+        nbr = _next_pow2(-(-self.rows // l))
+        nbc = _next_pow2(-(-self.cols // l))
+        if max(nbr, nbc) > _AXIS_LIMIT:
+            raise BcooFormatError(f"{nbr}x{nbc} block grid exceeds the {_AXIS_BITS}-bit Morton axis")
         if len(self.bi) != len(self.bn) + 1:
             raise BcooFormatError("BI must have exactly len(BN) + 1 entries")
         if len(self.bn) and self.bi[0] != 0:
@@ -79,43 +98,43 @@ class BcooMatrix:
             raise BcooFormatError("AI/AJ/AN lengths disagree with BI")
         if len(self.bn) and np.any(np.diff(self.bn) <= 0):
             raise BcooFormatError("BN must be strictly ascending")
-        if len(self.bn) and not np.all(np.isin(self.bn, zm.block_codes)):
+        # Decoding drops bits past the axis width, so a code is in the grid
+        # only if its decoded coordinates are and encode back to it.
+        brow, bcol = _compact_bits(self.bn >> 1), _compact_bits(self.bn)
+        in_grid = (brow < nbr) & (bcol < nbc) & (_morton_encode_array(brow, bcol) == self.bn)
+        if not np.all(in_grid):
             raise BcooFormatError("BN contains a block number outside the grid")
-        if np.any((self.ai < 0) | (self.ai >= self.l)):
+        if np.any((self.ai < 0) | (self.ai >= l)):
             raise BcooFormatError("AI entry outside [0, l)")
-        if np.any((self.aj < 0) | (self.aj >= self.l)):
+        if np.any((self.aj < 0) | (self.aj >= l)):
             raise BcooFormatError("AJ entry outside [0, l)")
         if np.any(self.an == 0.0):
             raise BcooFormatError("AN stores an explicit zero")
-        for t in range(len(self.bn)):
-            lo, hi = int(self.bi[t]), int(self.bi[t + 1])
-            keys = self.ai[lo:hi] * self.l + self.aj[lo:hi]
-            if len(np.unique(keys)) != hi - lo:
-                raise BcooFormatError(f"duplicate (AI, AJ) pair in block {int(self.bn[t])}")
+        owner = self.owners()
+        # brow * l + ai < rows, rearranged so that it cannot overflow int64
+        outside_rows = brow[owner] > (self.rows - 1 - self.ai) // l
+        outside_cols = bcol[owner] > (self.cols - 1 - self.aj) // l
+        if np.any(outside_rows | outside_cols):
+            raise BcooFormatError("nonzero outside the logical matrix")
+        keys = np.stack((owner, self.ai, self.aj))[:, np.lexsort((self.aj, self.ai, owner))]
+        if np.any(np.all(np.diff(keys) == 0, axis=0)):
+            raise BcooFormatError("duplicate (AI, AJ) pair within a block")
 
 
 def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
     """Compress a Z-Morton matrix; blocks appear in ascending Morton order."""
-    bn, bi, ai, aj, an = [], [0], [], [], []
-    for k, code in enumerate(zm.block_codes):
-        blk = zm.blocks[k]
-        rr, cc = np.nonzero(blk)  # C-order: row-major within the block
-        if len(rr) == 0:
-            continue
-        bn.append(int(code))
-        ai.extend(rr.tolist())
-        aj.extend(cc.tolist())
-        an.extend(blk[rr, cc].tolist())
-        bi.append(len(an))
+    owner, ai, aj = np.nonzero(zm.blocks)  # block-major, row-major within a block
+    counts = np.bincount(owner, minlength=len(zm.block_codes))
+    stored = counts > 0
     return BcooMatrix(
         rows=zm.rows,
         cols=zm.cols,
         l=zm.l,
-        bn=np.array(bn, dtype=np.int64),
-        bi=np.array(bi, dtype=np.int64),
-        ai=np.array(ai, dtype=np.int64),
-        aj=np.array(aj, dtype=np.int64),
-        an=np.array(an, dtype=float),
+        bn=zm.block_codes[stored],
+        bi=np.concatenate(([0], np.cumsum(counts[stored]))),
+        ai=ai,
+        aj=aj,
+        an=zm.blocks[owner, ai, aj],
     )
 
 
@@ -123,20 +142,13 @@ def bcoo_decode(b: BcooMatrix) -> ZMortonMatrix:
     """Exact inverse of bcoo_encode.  Raises BcooFormatError on bad structure."""
     b.validate()
     zm = zmorton_zeros(b.rows, b.cols, b.l)
-    ranks = zm.ranks_of(b.bn)
-    for t in range(len(b.bn)):
-        lo, hi = int(b.bi[t]), int(b.bi[t + 1])
-        zm.blocks[ranks[t], b.ai[lo:hi], b.aj[lo:hi]] = b.an[lo:hi]
+    zm.blocks[zm.ranks_of(b.bn)] = b.block_stack()
     return zm
 
 
 def iter_nonzero_blocks(b: BcooMatrix):
-    """Yield (morton_index, dense l-by-l block) in ascending Morton order."""
-    for t in range(len(b.bn)):
-        lo, hi = int(b.bi[t]), int(b.bi[t + 1])
-        blk = np.zeros((b.l, b.l))
-        blk[b.ai[lo:hi], b.aj[lo:hi]] = b.an[lo:hi]
-        yield int(b.bn[t]), blk
+    """Iterate (morton_index, dense l-by-l block) in ascending Morton order."""
+    return zip(b.bn.tolist(), b.block_stack())
 
 
 def prune(batch: TransformedBatch, target_sparsity: float) -> TransformedBatch:

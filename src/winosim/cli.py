@@ -123,16 +123,9 @@ def cmd_verify(args) -> int:
         want = engine.direct_conv(fm, flt, pad=pad)
         if args.inject_corruption:
             # flip one transformed weight between transform and multiply
-            batch = engine.gather_filters(flt, plan)
-            batch.at(0, 0).blocks[0, 0, 0] += 1.0
-            vb = engine.transform_input_batch(fm, plan, pad)
-            l = plan.l
-            P = vb.at(0, 0).cols
-            mats = np.empty((l, l, K, P))
-            for i in range(l):
-                for j in range(l):
-                    mats[i, j] = from_zmorton(engine.recursive_matmul(batch.at(i, j), vb.at(i, j)))
-            got = engine.assemble_output(mats, plan, K, H + 2 * pad - args.r + 1, W + 2 * pad - args.r + 1)
+            _, enc, _ = engine.compress_filters(flt, plan, 0.0)
+            enc[0].an[0] += 1.0
+            got = engine.winograd_conv_sparse(fm, enc, plan, pad=pad)
         else:
             got = engine.winograd_conv_dense(fm, flt, plan, pad=pad)
         err = float(np.max(np.abs(got - want)) / max(1.0, float(np.max(np.abs(want)))))
@@ -140,18 +133,9 @@ def cmd_verify(args) -> int:
 
         _, enc, _ = engine.compress_filters(flt, plan, 0.6)
         got_s = engine.winograd_conv_sparse(fm, enc, plan, pad=pad)
-        dec = [from_zmorton(bcoo_mod.bcoo_decode(e)) for e in enc]
-        batch_dec = [to_zmorton(d, plan.l) for d in dec]
-        l = plan.l
-        vb = engine.transform_input_batch(fm, plan, pad)
-        P = vb.at(0, 0).cols
-        mats = np.empty((l, l, K, P))
-        for i in range(l):
-            for j in range(l):
-                mats[i, j] = from_zmorton(engine.recursive_matmul(batch_dec[i * l + j], vb.at(i, j)))
-        want_s = engine.assemble_output(mats, plan, K, H + 2 * pad - args.r + 1, W + 2 * pad - args.r + 1)
+        want_s = engine.winograd_conv_blocks(fm, enc, plan, pad=pad)
         err_s = float(np.max(np.abs(got_s - want_s)) / max(1.0, float(np.max(np.abs(want_s)))))
-        ok &= _check(f"sparse == decoded-dense on {C}x{H}x{W}", err_s <= 1e-10, f"rel err {err_s:.2e}")
+        ok &= _check(f"sparse == block engine on {C}x{H}x{W}", err_s <= 1e-10, f"rel err {err_s:.2e}")
 
     print("verify:", "all checks passed" if ok else "FAILURES detected")
     return 0 if ok else 1

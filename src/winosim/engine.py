@@ -1,10 +1,15 @@
-"""Executable convolution numerics.
+"""Executable convolution numerics and the block-multiply schedule model.
 
-Provides the direct-correlation oracle, dense and sparse Winograd
-convolution lowered to l*l independent block matrix multiplies over
-Z-Morton layouts, the divide-and-conquer multiply schedule those blocks
-follow, and the auxiliary network layers (fully connected, ReLU, 2x2 max
-pooling) plus layer/network descriptions.
+Provides the direct-correlation oracle and dense and sparse Winograd
+convolution.  Both Winograd front doors run one body: the input is
+transformed once into an (l*l, C, P) stack and multiplied by the
+(l*l, K, C) transformed weights in one batched matmul, the l*l
+independent GEMMs of the Winograd split.  Alongside it sits the block
+engine: the divide-and-conquer multiply over Z-Morton operands that the
+systolic clusters execute.  The simulator replays its schedule, and
+winograd_conv_blocks runs the convolution through it as an independent
+reference.  The module also holds the auxiliary network layers (fully
+connected, ReLU, 2x2 max pooling) and layer/network descriptions.
 
 Schedule order.  The recursive multiply halves every block dimension
 greater than one until single l-by-l blocks remain.  Unrolled, the four
@@ -16,23 +21,28 @@ statement each per turn, which for a 16x16 input (l = 4) starts
     C_8  += A_8 * B_0  + A_9 * B_2
     C_12 += A_8 * B_4  + A_9 * B_6
 
-Per output block, contributions always accumulate in ascending order of
-the inner (shared) dimension, so results are reproducible regardless of
-how the independent multiplies are dispatched.
+Per output block, the block engine accumulates contributions in
+ascending order of the inner (shared) dimension, so its results are
+reproducible regardless of how the independent multiplies are
+dispatched.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .bcoo import BcooMatrix, bcoo_encode
+from .bcoo import BcooMatrix, bcoo_decode, bcoo_encode
 from .layout import (
     TransformedBatch,
     ZMortonMatrix,
+    _compact_bits,
+    _filter_stack,
+    _input_stack,
     _morton_encode_array,
     _next_pow2,
     assemble_output,
@@ -59,6 +69,7 @@ __all__ = [
     "block_matmul_sparse",
     "winograd_conv_dense",
     "winograd_conv_sparse",
+    "winograd_conv_blocks",
     "compress_filters",
     "fc_layer",
     "relu",
@@ -291,14 +302,6 @@ def recursive_matmul(
     return out
 
 
-def _bcoo_block_stack(U: BcooMatrix) -> np.ndarray:
-    stack = np.zeros((len(U.bn), U.l, U.l))
-    for t in range(len(U.bn)):
-        lo, hi = int(U.bi[t]), int(U.bi[t + 1])
-        stack[t, U.ai[lo:hi], U.aj[lo:hi]] = U.an[lo:hi]
-    return stack
-
-
 def block_matmul_sparse(
     U: BcooMatrix,
     V: ZMortonMatrix,
@@ -319,34 +322,17 @@ def block_matmul_sparse(
     if trace is not None:
         trace.extend(zip(cc.tolist(), aa.tolist(), bb.tolist()))
     out = zmorton_zeros(U.rows, V.cols, U.l)
-    ustack = _bcoo_block_stack(U)
     _accumulate(
         out,
         out.ranks_of(cc),
-        ustack[np.searchsorted(U.bn, aa)],
+        U.block_stack()[np.searchsorted(U.bn, aa)],
         V.blocks[V.ranks_of(bb)],
     )
     if counters is not None:
-        rows_hit = len(np.unique(_bcoo_logical_rows(U)))
+        rows_hit = len(np.unique(_compact_bits(U.bn >> 1)[U.owners()] * U.l + U.ai))
         counters.multiplies += U.nnz * V.cols
         counters.matmul_additions += max(0, U.nnz - rows_hit) * V.cols
     return out
-
-
-def _decode_rows(codes: np.ndarray) -> np.ndarray:
-    v = np.asarray(codes, dtype=np.int64) >> 1
-    v = v & 0x55555555
-    v = (v | (v >> 1)) & 0x33333333
-    v = (v | (v >> 2)) & 0x0F0F0F0F
-    v = (v | (v >> 4)) & 0x00FF00FF
-    v = (v | (v >> 8)) & 0x0000FFFF
-    return v
-
-
-def _bcoo_logical_rows(U: BcooMatrix) -> np.ndarray:
-    if U.nnz == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.repeat(_decode_rows(U.bn), np.diff(U.bi)) * U.l + U.ai
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +368,34 @@ def direct_conv(
     return out
 
 
-def _winograd_geometry(fm, filters, plan, pad):
-    C, H, W = fm.shape
-    K, Cf, r, r2 = filters.shape
-    if Cf != C:
-        raise ValueError(f"filter channels {Cf} != input channels {C}")
-    if r != plan.r or r2 != plan.r:
-        raise ValueError(f"filter width {r} != plan r={plan.r}")
-    oh = H + 2 * pad - plan.r + 1
-    ow = W + 2 * pad - plan.r + 1
-    if oh < 1 or ow < 1:
-        raise ValueError("non-positive output extent")
-    return C, K, oh, ow
-
-
 def transform_input_batch(fm, plan: WinogradPlan, pad: int) -> TransformedBatch:
+    """The l*l transformed C-by-P input matrices, as Z-Morton block operands."""
     tiles = extract_tiles(fm, plan, pad)
     return scatter_to_matrices(transform_tiles(plan, tiles))
+
+
+def _winograd_conv(fm, U, plan, pad, counters, nnz, rows_hit):
+    """Convolve with an (l*l, K, C) transformed weight stack as l*l batched GEMMs.
+
+    `nnz` and `rows_hit` are the weight entries and weight rows the
+    counters charge: each costs P multiplies, and each entry beyond the
+    first in its row costs P additions.
+    """
+    fm = np.asarray(fm, dtype=float)
+    C, H, W = fm.shape
+    if U.shape[2] != C:
+        raise ValueError(f"weights expect {U.shape[2]} channels, input has {C}")
+    tiles = extract_tiles(fm, plan, pad)
+    _, th, tw, l, _ = tiles.shape
+    V = _input_stack(transform_tiles(plan, tiles))
+    K, P = U.shape[1], th * tw
+    if counters is not None:
+        counters.multiplies += nnz * P
+        counters.matmul_additions += (nnz - rows_hit) * P
+    mats = np.matmul(U, V).reshape(l, l, K, P)
+    oh = H + 2 * pad - plan.r + 1
+    ow = W + 2 * pad - plan.r + 1
+    return assemble_output(mats, plan, K, oh, ow, counters=counters)
 
 
 def winograd_conv_dense(
@@ -408,20 +405,9 @@ def winograd_conv_dense(
     pad: int = 0,
     counters: OpCounters | None = None,
 ) -> np.ndarray:
-    """Winograd convolution via l*l dense block multiplies; equals direct_conv."""
-    fm = np.asarray(fm, dtype=float)
-    filters = np.asarray(filters, dtype=float)
-    C, K, oh, ow = _winograd_geometry(fm, filters, plan, pad)
-    vb = transform_input_batch(fm, plan, pad)
-    ub = gather_filters(filters, plan)
-    l = plan.l
-    P = vb.at(0, 0).cols
-    mats = np.empty((l, l, K, P))
-    for i in range(l):
-        for j in range(l):
-            prod = recursive_matmul(ub.at(i, j), vb.at(i, j), counters=counters)
-            mats[i, j] = from_zmorton(prod)
-    return assemble_output(mats, plan, K, oh, ow, counters=counters)
+    """Winograd convolution via l*l dense GEMMs; equals direct_conv."""
+    U = _filter_stack(filters, plan)
+    return _winograd_conv(fm, U, plan, pad, counters, U.size, U.shape[0] * U.shape[1])
 
 
 def winograd_conv_sparse(
@@ -434,26 +420,31 @@ def winograd_conv_sparse(
     """Winograd convolution with pre-transformed, pruned, BCOO-compressed weights.
 
     `u_sparse` is the sequence of l*l BcooMatrix weight matrices (K-by-C
-    each) in (i, j) row-major position order.
+    each) in (i, j) row-major position order.  Counters charge stored
+    nonzeros only.
+    """
+    if len(u_sparse) != plan.l * plan.l:
+        raise ValueError(f"expected {plan.l * plan.l} sparse weight matrices, got {len(u_sparse)}")
+    U = np.stack([from_zmorton(bcoo_decode(u)) for u in u_sparse])
+    nnz = np.count_nonzero(U)
+    rows_hit = np.count_nonzero(U.any(axis=2))
+    return _winograd_conv(fm, U, plan, pad, counters, nnz, rows_hit)
+
+
+def winograd_conv_blocks(fm: np.ndarray, u_sparse, plan: WinogradPlan, pad: int = 0) -> np.ndarray:
+    """Reference for winograd_conv_sparse through the block engine.
+
+    Each position runs block_matmul_sparse over Z-Morton operands, the
+    schedule the simulator models, so it shares no multiply code with the
+    batched path.
     """
     fm = np.asarray(fm, dtype=float)
-    l = plan.l
-    if len(u_sparse) != l * l:
-        raise ValueError(f"expected {l * l} sparse weight matrices, got {len(u_sparse)}")
+    vb = transform_input_batch(fm, plan, pad)
     K = u_sparse[0].rows
-    C = u_sparse[0].cols
-    if fm.shape[0] != C:
-        raise ValueError(f"weights expect {C} channels, input has {fm.shape[0]}")
+    mats = np.stack([from_zmorton(block_matmul_sparse(u, v)) for u, v in zip(u_sparse, vb)])
     oh = fm.shape[1] + 2 * pad - plan.r + 1
     ow = fm.shape[2] + 2 * pad - plan.r + 1
-    vb = transform_input_batch(fm, plan, pad)
-    P = vb.at(0, 0).cols
-    mats = np.empty((l, l, K, P))
-    for i in range(l):
-        for j in range(l):
-            prod = block_matmul_sparse(u_sparse[i * l + j], vb.at(i, j), counters=counters)
-            mats[i, j] = from_zmorton(prod)
-    return assemble_output(mats, plan, K, oh, ow, counters=counters)
+    return assemble_output(mats.reshape(plan.l, plan.l, K, -1), plan, K, oh, ow)
 
 
 def compress_filters(filters, plan: WinogradPlan, target_sparsity: float):
@@ -574,7 +565,11 @@ def tensor_from_bytes(buf: bytes) -> np.ndarray:
     if ndim < 0 or len(buf) < 8 + 8 * ndim:
         raise ValueError("malformed tensor header")
     shape = struct.unpack_from(f"<{ndim}q", buf, 8)
-    count = int(np.prod(shape)) if ndim else 1
+    if any(dim < 0 for dim in shape):
+        raise ValueError(f"negative tensor dimension in shape {shape}")
+    count = math.prod(shape)
+    if len(buf) != 8 + 8 * ndim + 8 * count:
+        raise ValueError(f"tensor payload is {len(buf) - 8 - 8 * ndim} bytes, shape {shape} needs {8 * count}")
     data = np.frombuffer(buf, dtype="<f8", count=count, offset=8 + 8 * ndim)
     return data.reshape(shape).copy()
 

@@ -73,9 +73,14 @@ def morton_decode(index: int) -> tuple[int, int]:
     return int(_compact_bits(index >> 1)), int(_compact_bits(index))
 
 
-def _morton_encode_array(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _morton_encode_array(rows, cols) -> np.ndarray:
+    """Morton codes of (row, col) block coordinates; refuses to alias."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
+    if np.any(rows < 0) or np.any(cols < 0):
+        raise ValueError("block coordinates must be non-negative")
+    if np.any(rows >= _AXIS_LIMIT) or np.any(cols >= _AXIS_LIMIT):
+        raise ValueError(f"block coordinate exceeds {_AXIS_BITS}-bit axis width")
     return (_spread_bits(rows) << 1) | _spread_bits(cols)
 
 
@@ -144,31 +149,19 @@ def to_zmorton(dense, l: int) -> ZMortonMatrix:
     nbc = _next_pow2(-(-cols // l))
     padded = np.zeros((nbr * l, nbc * l))
     padded[:rows, :cols] = dense
-    tiles = padded.reshape(nbr, l, nbc, l).transpose(0, 2, 1, 3)
-    rr, cc = np.meshgrid(np.arange(nbr), np.arange(nbc), indexing="ij")
-    codes = _morton_encode_array(rr.ravel(), cc.ravel())
-    order = np.argsort(codes)
-    return ZMortonMatrix(
-        rows=rows,
-        cols=cols,
-        l=l,
-        block_codes=codes[order],
-        blocks=np.ascontiguousarray(tiles.reshape(-1, l, l)[order]),
-    )
+    grid = padded.reshape(nbr, l, nbc, l).transpose(0, 2, 1, 3)
+    codes = _grid_codes(nbr, nbc)
+    blocks = grid[_compact_bits(codes >> 1), _compact_bits(codes)]
+    return ZMortonMatrix(rows=rows, cols=cols, l=l, block_codes=codes, blocks=blocks)
 
 
 def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
     """Recover the logical row-major matrix (padding dropped)."""
     l = zm.l
     nbr, nbc = zm.block_rows, zm.block_cols
-    padded = np.zeros((nbr * l, nbc * l))
-    rows_idx = _compact_bits(zm.block_codes >> 1)
-    cols_idx = _compact_bits(zm.block_codes)
-    for k in range(len(zm.block_codes)):
-        r0 = int(rows_idx[k]) * l
-        c0 = int(cols_idx[k]) * l
-        padded[r0 : r0 + l, c0 : c0 + l] = zm.blocks[k]
-    return padded[: zm.rows, : zm.cols]
+    grid = np.zeros((nbr, nbc, l, l))
+    grid[_compact_bits(zm.block_codes >> 1), _compact_bits(zm.block_codes)] = zm.blocks
+    return grid.transpose(0, 2, 1, 3).reshape(nbr * l, nbc * l)[: zm.rows, : zm.cols]
 
 
 def zmorton_zeros(rows: int, cols: int, l: int) -> ZMortonMatrix:
@@ -228,14 +221,19 @@ class TransformedBatch:
         return iter(self.mats)
 
 
-def scatter_to_matrices(transformed_tiles: np.ndarray) -> TransformedBatch:
-    """Regroup transformed input tiles (C, th, tw, l, l) into l*l C-by-P matrices.
+def _input_stack(transformed_tiles: np.ndarray) -> np.ndarray:
+    """Regroup transformed input tiles (C, th, tw, l, l) into an (l*l, C, P) stack.
 
     Tile coordinates collapse row-major: b = x * tw + y.
     """
     C, th, tw, l, _ = transformed_tiles.shape
-    flat = transformed_tiles.transpose(3, 4, 0, 1, 2).reshape(l, l, C, th * tw)
-    return TransformedBatch(l=l, mats=[to_zmorton(flat[i, j], l) for i in range(l) for j in range(l)])
+    return transformed_tiles.transpose(3, 4, 0, 1, 2).reshape(l * l, C, th * tw)
+
+
+def scatter_to_matrices(transformed_tiles: np.ndarray) -> TransformedBatch:
+    """Regroup transformed input tiles (C, th, tw, l, l) into l*l C-by-P matrices."""
+    l = transformed_tiles.shape[3]
+    return TransformedBatch(l=l, mats=[to_zmorton(v, l) for v in _input_stack(transformed_tiles)])
 
 
 def gather_from_matrices(batch: TransformedBatch, C: int, th: int, tw: int) -> np.ndarray:
@@ -248,15 +246,19 @@ def gather_from_matrices(batch: TransformedBatch, C: int, th: int, tw: int) -> n
     return tiles
 
 
-def gather_filters(filters: np.ndarray, plan: WinogradPlan) -> TransformedBatch:
-    """Transform a (K, C, r, r) filter bank into l*l K-by-C matrices."""
+def _filter_stack(filters: np.ndarray, plan: WinogradPlan) -> np.ndarray:
+    """Transform a (K, C, r, r) filter bank into an (l*l, K, C) stack."""
     filters = np.asarray(filters, dtype=float)
     K, C, r, r2 = filters.shape
     if r != plan.r or r2 != plan.r:
         raise ValueError(f"filter width {r}x{r2} != plan r={plan.r}")
-    l = plan.l
     u = np.einsum("ab,kcbd,ed->aekc", plan.G, filters, plan.G)
-    return TransformedBatch(l=l, mats=[to_zmorton(u[i, j], l) for i in range(l) for j in range(l)])
+    return u.reshape(plan.l * plan.l, K, C)
+
+
+def gather_filters(filters: np.ndarray, plan: WinogradPlan) -> TransformedBatch:
+    """Transform a (K, C, r, r) filter bank into l*l K-by-C matrices."""
+    return TransformedBatch(l=plan.l, mats=[to_zmorton(u, plan.l) for u in _filter_stack(filters, plan)])
 
 
 def assemble_output(

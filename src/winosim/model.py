@@ -1,7 +1,7 @@
 """Analytical volume, arithmetic, and energy model for Winograd layers.
 
-Per layer, with t = ceil(H/m) * ceil(W/m) transformed tile positions and
-l = m + r - 1:
+Per layer, with t = ceil(H_out/m) * ceil(W_out/m) transformed tile
+positions (LayerSpec.tile_counts) and l = m + r - 1:
 
     data volumes      D_wi = t * C * l^2      (transformed feature map)
                       D_wo = t * K * l^2      (products before inverse)
@@ -13,9 +13,9 @@ l = m + r - 1:
     energy            E    = E_ml * (D_wi + D_wo) + E_me * D_wk
                              + E_mul * M_W + E_add * (S_W + S_B + S_A)
 
-All counts are exact ceiling forms.  The tile-count term uses the layer's
-input extent, which matches the instrumented engine whenever padding
-preserves spatial extent (pad = (r - 1) / 2); nnz(A)/nnz(B) count the
+All counts are exact ceiling forms.  The tile count is taken over the
+output extent, the tiles the engine convolves, so M_W and S_W equal the
+engine's instrumented counters at any padding; nnz(A)/nnz(B) count the
 nonzero entries of the plan's transform matrices (6 and 8 for F(2, 3)).
 
 The transform-add formulas above carry a C*K product as stated; the input
@@ -97,7 +97,8 @@ class ModelReport:
 
 
 def tile_count(layer: LayerSpec, m: int) -> int:
-    return (-(-layer.H // m)) * (-(-layer.W // m))
+    th, tw = layer.tile_counts(m)
+    return th * tw
 
 
 def volumes(layer: LayerSpec, m: int, r: int | None = None) -> tuple[int, int, int]:
@@ -259,12 +260,8 @@ def _cfg_for_block_side(cfg: ArchConfig | None, l: int) -> ArchConfig:
         return ArchConfig(l=l)
     if cfg.l == l:
         return cfg
-    return ArchConfig(
-        l=l,
-        clusters=cfg.clusters,
-        transform_arrays=cfg.transform_arrays,
-        fifo_depth=cfg.fifo_depth,
-        decompress_cycles_per_nnz=cfg.decompress_cycles_per_nnz,
+    return replace(
+        cfg, l=l, cycles_per_block_matmul_issue=None, pipeline_fill=None, transform_pass_cycles=None
     )
 
 

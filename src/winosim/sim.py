@@ -38,7 +38,7 @@ from .engine import (
     matmul_streams,
     recursive_matmul,
 )
-from .layout import ZMortonMatrix, _morton_encode_array, _next_pow2
+from .layout import ZMortonMatrix, _grid_codes, _next_pow2
 from .plans import WinogradPlan
 
 __all__ = [
@@ -65,7 +65,6 @@ class ArchConfig:
 
     l: int = 4
     clusters: int = 8
-    arrays_per_cluster: int = 4
     transform_arrays: int = 16
     fifo_depth: int = 8
     cycles_per_block_matmul_issue: int | None = None
@@ -76,8 +75,6 @@ class ArchConfig:
     def __post_init__(self):
         if min(self.l, self.clusters, self.transform_arrays, self.fifo_depth) < 1:
             raise ValueError("all architecture counts must be >= 1")
-        if self.arrays_per_cluster != 4:
-            raise ValueError("this architecture fixes four arrays per cluster")
         if self.cycles_per_block_matmul_issue is None:
             self.cycles_per_block_matmul_issue = self.l
         if self.pipeline_fill is None:
@@ -327,7 +324,6 @@ def simulate_cluster_sparse(
     mb = _next_pow2(-(-U.rows // U.l))
     nb = _next_pow2(-(-U.cols // U.l))
     streams = matmul_streams(mb, nb, V.block_cols)
-    present = set(U.bn.tolist())
     masks = [np.isin(s.a, U.bn) for s in streams]
     nnz_by_code = dict(zip(U.bn.tolist(), np.diff(U.bi).tolist()))
     report = _run_cluster_schedule(
@@ -393,8 +389,7 @@ def simulate_layer(
     nb = _next_pow2(-(-layer.C // l))
     pb = _next_pow2(-(-P // l))
     streams = matmul_streams(mb, nb, pb)
-    rr, cc = np.meshgrid(np.arange(mb), np.arange(nb), indexing="ij")
-    grid_codes = np.sort(_morton_encode_array(rr.ravel(), cc.ravel()))
+    grid_codes = _grid_codes(mb, nb)
 
     sparse_mode = sparsity > 0.0
     block_nnz = _synthetic_block_nnz(l, sparsity)

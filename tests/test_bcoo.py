@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,3 +173,69 @@ def test_deserialization_rejects_truncation():
     blob = bcoo_to_bytes(enc)
     with pytest.raises(BcooFormatError):
         bcoo_from_bytes(blob[:-4])
+
+
+def _record(rows, cols, l, bn=(), bi=(0,), ai=(), aj=(), an=()):
+    return BcooMatrix(
+        rows=rows, cols=cols, l=l, bn=np.array(bn, dtype=np.int64),
+        bi=np.array(bi, dtype=np.int64), ai=np.array(ai, dtype=np.int64),
+        aj=np.array(aj, dtype=np.int64), an=np.array(an, dtype=float),
+    )
+
+
+def test_validate_does_not_build_the_block_grid():
+    blob = bcoo_to_bytes(_record(2048, 2048, 1))
+    assert len(blob) == 48
+    tracemalloc.start()
+    try:
+        bcoo_from_bytes(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_validate_rejects_grid_past_morton_axis():
+    with pytest.raises(BcooFormatError):
+        bcoo_from_bytes(bcoo_to_bytes(_record(1 << 17, 4, 1)))
+
+
+@pytest.mark.parametrize("code", [1 << 40, 4, -1])
+def test_validate_rejects_block_number_outside_grid(code):
+    # an 8x4 matrix at l = 4 has a 2x1 block grid: codes 0 and 2 only
+    with pytest.raises(BcooFormatError):
+        _record(8, 4, 4, bn=[code], bi=[0, 1], ai=[0], aj=[0], an=[1.0]).validate()
+
+
+def test_validate_rejects_nonzero_in_layout_padding():
+    _record(6, 3, 4, bn=[2], bi=[0, 1], ai=[1], aj=[2], an=[1.0]).validate()
+    for ai, aj in ((2, 0), (0, 3)):
+        with pytest.raises(BcooFormatError):
+            _record(6, 3, 4, bn=[2], bi=[0, 1], ai=[ai], aj=[aj], an=[1.0]).validate()
+
+
+@st.composite
+def _bcoo_like_records(draw):
+    """Records of small matrices with consistent counts, one word possibly replaced."""
+    l = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(1, 3), max_size=3))
+    nnz = sum(counts)
+    bn = sorted(draw(st.sets(st.integers(0, 15), min_size=len(counts), max_size=len(counts))))
+    bi = np.concatenate(([0], np.cumsum(counts, dtype=np.int64))).tolist()
+    in_block = st.lists(st.integers(0, l - 1), min_size=nnz, max_size=nnz)
+    words = [draw(st.integers(1, 12)), draw(st.integers(1, 12)), l, len(counts), nnz,
+             *bn, *bi, *draw(in_block), *draw(in_block)]
+    if draw(st.booleans()):
+        words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from([-1, 0, 2, 1 << 40]))
+    an = draw(st.lists(st.sampled_from([1.0, -2.5, 0.0]), min_size=nnz, max_size=nnz))
+    return struct.pack(f"<{len(words)}q{nnz}d", *words, *an)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=160), _bcoo_like_records()))
+def test_bcoo_from_bytes_parses_exactly_or_raises_value_error(buf):
+    try:
+        mat, end = bcoo_from_bytes(buf)
+    except ValueError:
+        return
+    assert bcoo_to_bytes(mat) == buf[:end]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,9 @@ from winosim.engine import (
     relu,
     run_network,
     save_tensor,
+    tensor_from_bytes,
+    tensor_to_bytes,
+    winograd_conv_blocks,
     winograd_conv_dense,
     winograd_conv_sparse,
 )
@@ -315,6 +320,23 @@ def test_sparse_conv_matches_decoded_dense(plan):
     assert _rel_err(got, want) <= 1e-10
 
 
+@pytest.mark.parametrize("m, C, H, W, K, pad", [(2, 3, 9, 7, 5, 0), (4, 6, 12, 12, 9, 1)])
+def test_sparse_conv_matches_block_engine_and_its_counters(m, C, H, W, K, pad):
+    plan = make_plan(m, 3)
+    rng = np.random.default_rng(20)
+    fm = rng.uniform(-1, 1, (C, H, W))
+    _, enc, _ = compress_filters(rng.uniform(-1, 1, (K, C, 3, 3)), plan, 0.6)
+    got_counters, want_counters = OpCounters(), OpCounters()
+    got = winograd_conv_sparse(fm, enc, plan, pad=pad, counters=got_counters)
+    assert _rel_err(got, winograd_conv_blocks(fm, enc, plan, pad=pad)) <= 1e-10
+    # the counters charge what the block engine charges: nnz * P multiplies
+    P = -(-(H + 2 * pad - 2) // m) * -(-(W + 2 * pad - 2) // m)
+    for u in enc:
+        block_matmul_sparse(u, to_zmorton(np.zeros((C, P)), plan.l), counters=want_counters)
+    assert got_counters.multiplies == want_counters.multiplies
+    assert got_counters.matmul_additions == want_counters.matmul_additions
+
+
 # ---------------------------------------------------------------------------
 # auxiliary layers
 
@@ -439,3 +461,36 @@ def test_tensor_container_round_trip(tmp_path):
     # header: ndim then dims, little-endian int64
     raw = path.read_bytes()
     assert np.frombuffer(raw[:32], dtype="<i8").tolist() == [3, 3, 5, 7]
+
+
+def test_tensor_from_bytes_rejects_negative_dimension():
+    buf = struct.pack("<2q", 1, -1) + np.arange(3.0).tobytes()
+    with pytest.raises(ValueError):
+        tensor_from_bytes(buf)
+
+
+def test_load_tensor_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "t.tensor"
+    path.write_bytes(tensor_to_bytes(np.ones((2, 3))) + b"junk")
+    with pytest.raises(ValueError):
+        load_tensor(path)
+
+
+_word = st.integers(-3, 6).map(lambda v: struct.pack("<q", v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=96),
+        st.tuples(st.lists(_word, max_size=4), st.binary(max_size=64)).map(
+            lambda t: struct.pack("<q", len(t[0])) + b"".join(t[0]) + t[1]
+        ),
+    )
+)
+def test_tensor_from_bytes_parses_exactly_or_raises_value_error(buf):
+    try:
+        arr = tensor_from_bytes(buf)
+    except ValueError:
+        return
+    assert tensor_to_bytes(arr) == buf

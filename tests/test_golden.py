@@ -1,0 +1,64 @@
+"""Byte-identity guard: pinned digests of simulator CSVs and BCOO containers.
+
+Refactors and speed-ups of the simulator, the analytical model or the
+block codec must leave these outputs byte for byte unchanged.  A digest
+changes only in a change that declares itself a model or format change.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from winosim import cli
+from winosim.bcoo import bcoo_to_bytes
+from winosim.engine import compress_filters
+from winosim.plans import make_plan
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["simulate", "--spec", "vgg16", "--scale", "8"],
+            "99b683d502dec9cea9715ccaf110f9d4c2c29f333d434f10047b81fdcbbfca55",
+        ),
+        (
+            ["simulate", "--spec", "vgg16", "--scale", "8", "--sparsity", "0.9"],
+            "7080facf924d0a3ff385d3906ddec2d65a37cac034e45bf448102611ba01dd7d",
+        ),
+        (
+            ["dse", "--spec", "vgg16", "--scale", "8", "--m-values", "2,4",
+             "--sparsities", "0,0.6,0.9"],
+            "e7651866ce520b04bb3fd78787d2e28c1ccbafece4144717ba4fd48219866943",
+        ),
+    ],
+    ids=["simulate-dense", "simulate-sparse", "dse"],
+)
+def test_cli_csv_digest(tmp_path, argv, digest):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == digest
+
+
+@pytest.mark.parametrize(
+    "m, sparsity, digest",
+    [
+        (2, 0.0, "0e353192629fed4bbcd9b5aa9591b318654f9149f4738e6884f54579316153b3"),
+        (2, 0.5, "0c18d46e222f7fc9b443f7523eb53f0ac031b5302dc89ab16506a14848d52374"),
+        (2, 0.9, "f5464c2741e575e8e2449cbfb0e0ddba0aa58adbf8c76c30576b5db49a07d72a"),
+        (2, 1.0, "2875de084dd2bbd0d2e8a088523cf00cf2eb3a518469ed3fcbd99cb2849d770c"),
+        (4, 0.0, "87da3d533ab819354aaa1d5c7dca832ca5fce06b53070a67e4c30af8671d6d7f"),
+        (4, 0.5, "169b5c123199f58bf841e82a035004bf43beaef9e61fa1b204052b5bcdf235dd"),
+        (4, 0.9, "0d16482436f862f8a39b4f6213682396a506854453e81b4d787d50d0fa94f968"),
+        (4, 1.0, "0f32a5a83b31e93294138682e5e0438e35db749d8477aef94bffe4794e8e63e4"),
+    ],
+)
+def test_bcoo_container_digest(m, sparsity, digest):
+    flt = np.random.default_rng(0).uniform(-1, 1, (6, 5, 3, 3))
+    _, encoded, _ = compress_filters(flt, make_plan(m, 3), sparsity)
+    assert _sha256(b"".join(bcoo_to_bytes(e) for e in encoded)) == digest

@@ -14,7 +14,9 @@ from winosim.layout import (
     scatter_to_matrices,
     to_zmorton,
     transform_tiles,
+    zmorton_zeros,
 )
+from winosim.engine import matmul_streams
 from winosim.plans import make_plan
 
 
@@ -43,6 +45,16 @@ def test_morton_rejects_overflow():
         morton_encode(2**16, 0)
     with pytest.raises(ValueError):
         morton_encode(-1, 0)
+
+
+def test_morton_array_paths_refuse_to_alias():
+    # 270000 columns at l = 1 need 2**19 block columns, past the 16-bit axis
+    with pytest.raises(ValueError):
+        to_zmorton(np.zeros((4, 270000)), 1)
+    with pytest.raises(ValueError):
+        zmorton_zeros(1, 1 << 17, 1)
+    with pytest.raises(ValueError):
+        matmul_streams(1, 1, 1 << 17)
 
 
 def test_zmorton_single_block(plan):

@@ -95,6 +95,19 @@ def test_counters_match_formulas_many_geometries(plan):
         assert counters.matmul_additions == add_counts(layer, plan)[0]
 
 
+def test_counters_match_formulas_without_padding(plan):
+    # pad = 0 shrinks the output: an 8x8 input has 3x3 output tiles, not 4x4
+    rng = np.random.default_rng(1)
+    for H, W in ((8, 8), (7, 10)):
+        layer = LayerSpec("p0", H=H, W=W, C=3, K=2, r=3, pad=0)
+        counters = OpCounters()
+        fm = rng.uniform(-1, 1, (3, H, W))
+        winograd_conv_dense(fm, rng.uniform(-1, 1, (2, 3, 3, 3)), plan, pad=0, counters=counters)
+        assert counters.multiplies == mult_count(layer, 2)
+        assert counters.matmul_additions == add_counts(layer, plan)[0]
+    assert tile_count(LayerSpec("p0", H=8, W=8, C=1, K=1, pad=0), 2) == 9
+
+
 def test_energy_linearity(plan):
     layer = vgg16_table_layers()[2]
     ep = EnergyParams()

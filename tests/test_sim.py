@@ -31,8 +31,6 @@ def test_arch_config_defaults(cfg):
     assert cfg.cycles_per_block_matmul_issue == 4
     assert cfg.pipeline_fill == 6
     assert cfg.transform_pass_cycles == 10
-    with pytest.raises(ValueError):
-        ArchConfig(arrays_per_cluster=2)
 
 
 # ---------------------------------------------------------------------------
