@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bcoo as bcoo_mod
 from . import engine, model, sim
-from .layout import from_zmorton, morton_decode, morton_encode, to_zmorton, zmorton_zeros
+from .layout import _next_pow2, from_zmorton, morton_decode, morton_encode, to_zmorton
 from .plans import OpCounters, make_plan
 
 _DEF_SHAPES = [
@@ -192,8 +192,9 @@ def cmd_compress(args) -> int:
         for enc in encoded:
             fh.write(bcoo_mod.bcoo_to_bytes(enc))
     blocks_stored = sum(len(e.bn) for e in encoded)
-    grid0 = zmorton_zeros(encoded[0].rows, encoded[0].cols, encoded[0].l)
-    total_blocks = len(grid0.block_codes) * len(encoded)
+    e0 = encoded[0]
+    grid_blocks = _next_pow2(-(-e0.rows // e0.l)) * _next_pow2(-(-e0.cols // e0.l))
+    total_blocks = grid_blocks * len(encoded)
     nnz = sum(e.nnz for e in encoded)
     print(
         f"wrote {args.out}: {len(encoded)} matrices, achieved sparsity {achieved:.4f}, "
@@ -287,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", default="vgg16", help="network config path or 'vgg16'")
         p.add_argument("--scale", type=int, default=1,
                        help="divide extents/channels for a quick look")
-        p.add_argument("--clusters", type=int, default=8)
-        p.add_argument("--transform-arrays", type=int, default=16)
-        p.add_argument("--fifo-depth", type=int, default=8)
+        p.add_argument("--clusters", type=int, default=sim.ArchConfig.clusters)
+        p.add_argument("--transform-arrays", type=int, default=sim.ArchConfig.transform_arrays)
+        p.add_argument("--fifo-depth", type=int, default=sim.ArchConfig.fifo_depth)
         p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
 
     p = sub.add_parser("simulate", help="simulate layers on the systolic model, emit CSV")
@@ -303,10 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim_common(p)
     p.add_argument("--m-values", type=_parse_int_list, default=[2], dest="m_values")
     p.add_argument("--sparsities", type=_parse_float_list, default=[0.0])
-    p.add_argument("--e-me", type=float, default=200.0, help="external-memory unit energy")
-    p.add_argument("--e-ml", type=float, default=6.0, help="local-memory unit energy")
-    p.add_argument("--e-mul", type=float, default=2.0, help="multiply unit energy")
-    p.add_argument("--e-add", type=float, default=1.0, help="add unit energy")
+    ep = model.EnergyParams
+    p.add_argument("--e-me", type=float, default=ep.e_external, help="external-memory unit energy")
+    p.add_argument("--e-ml", type=float, default=ep.e_local, help="local-memory unit energy")
+    p.add_argument("--e-mul", type=float, default=ep.e_multiply, help="multiply unit energy")
+    p.add_argument("--e-add", type=float, default=ep.e_add, help="add unit energy")
     p.add_argument("--corrected-transform-adds", action="store_true",
                    help="use the C-only/K-only transform-add variant")
     p.add_argument("--no-sim", action="store_true", help="skip the simulator columns")

@@ -253,18 +253,6 @@ def scale_network(net: NetworkSpec, divisor: int) -> NetworkSpec:
 # design-space sweep
 
 
-def _cfg_for_block_side(cfg: ArchConfig | None, l: int) -> ArchConfig:
-    """Adapt an architecture config to a plan's block side, re-deriving the
-    cycle-cost defaults while keeping the structural knobs."""
-    if cfg is None:
-        return ArchConfig(l=l)
-    if cfg.l == l:
-        return cfg
-    return replace(
-        cfg, l=l, cycles_per_block_matmul_issue=None, pipeline_fill=None, transform_pass_cycles=None
-    )
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One (layer, m, sparsity) grid point: analytical counts plus simulation."""
@@ -311,6 +299,7 @@ def dse_sweep(
     if not m_values or not sparsities:
         raise ValueError("sweeps must be non-empty")
     ep = ep or EnergyParams()
+    cfg = cfg or ArchConfig()
     plans: dict = {}
     rows = []
     for m in m_values:
@@ -319,7 +308,7 @@ def dse_sweep(
             if key not in plans:
                 plans[key] = make_plan(*key)
             lplan = plans[key]
-            lcfg = _cfg_for_block_side(cfg, lplan.l)
+            lcfg = replace(cfg, l=lplan.l)
             d_wi, d_wo, d_wk = volumes(layer, m, layer.r)
             m_w = mult_count(layer, m, layer.r)
             s_w, s_b, s_a = add_counts(layer, lplan, corrected_transform_adds)

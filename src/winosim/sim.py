@@ -26,7 +26,6 @@ produce identical reports.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,31 +55,37 @@ __all__ = [
 
 @dataclass
 class ArchConfig:
-    """Architecture geometry and cycle-cost constants.
+    """Architecture geometry.
 
-    Cost constants default from the array side l: a block multiply issues
-    every l cycles, the array pipeline fills in 2(l-1), and one transform
-    pass costs l + 2(l-1).  All are overridable.
+    The cycle costs derive from the array side l: a block multiply issues
+    every l cycles, the array pipeline fills in 2(l-1), one transform pass
+    costs l + 2(l-1), and the decompressor spends one cycle per nonzero.
     """
 
     l: int = 4
     clusters: int = 8
     transform_arrays: int = 16
     fifo_depth: int = 8
-    cycles_per_block_matmul_issue: int | None = None
-    pipeline_fill: int | None = None
-    transform_pass_cycles: int | None = None
-    decompress_cycles_per_nnz: int = 1
 
     def __post_init__(self):
         if min(self.l, self.clusters, self.transform_arrays, self.fifo_depth) < 1:
             raise ValueError("all architecture counts must be >= 1")
-        if self.cycles_per_block_matmul_issue is None:
-            self.cycles_per_block_matmul_issue = self.l
-        if self.pipeline_fill is None:
-            self.pipeline_fill = 2 * (self.l - 1)
-        if self.transform_pass_cycles is None:
-            self.transform_pass_cycles = self.l + 2 * (self.l - 1)
+
+    @property
+    def cycles_per_block_matmul_issue(self) -> int:
+        return self.l
+
+    @property
+    def pipeline_fill(self) -> int:
+        return 2 * (self.l - 1)
+
+    @property
+    def transform_pass_cycles(self) -> int:
+        return self.l + self.pipeline_fill
+
+    @property
+    def decompress_cycles_per_nnz(self) -> int:
+        return 1
 
 
 @dataclass
@@ -109,27 +114,6 @@ class SimReport:
         if not self.busy_cycles or self.total_cycles == 0:
             return 0.0
         return sum(self.busy_cycles) / (len(self.busy_cycles) * self.total_cycles)
-
-
-class _FifoCache:
-    """FIFO-replacement cache of block codes (one circular FIFO)."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._queue: deque = deque()
-        self._members: set = set()
-
-    def access(self, key) -> bool:
-        """True on hit (local supply), False on miss (external load)."""
-        if key in self._members:
-            return True
-        if self.capacity <= 0:
-            return False
-        if len(self._queue) == self.capacity:
-            self._members.discard(self._queue.popleft())
-        self._queue.append(key)
-        self._members.add(key)
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -176,122 +160,99 @@ def transform_tiles_two_pass(plan: WinogradPlan, tiles: np.ndarray) -> np.ndarra
 # cluster matmul stage
 
 
+def _fifo_misses(keys: list, capacity: int) -> np.ndarray:
+    """Miss mask of one FIFO-replacement buffer over an access sequence.
+
+    Only misses insert, so a key is still held iff at most `capacity`
+    misses, its own included, have happened since its own last miss.
+    """
+    last_miss: dict = {}
+    misses = 0
+    out = []
+    for key in keys:
+        j = last_miss.get(key)
+        if j is None or misses - j >= capacity:
+            misses += 1
+            last_miss[key] = misses
+            out.append(True)
+        else:
+            out.append(False)
+    return np.array(out, dtype=bool)
+
+
+def _accesses(codes: np.ndarray, active: np.ndarray):
+    """One buffer's access sequence from (streams, steps) codes and activity.
+
+    Returns the distinct (step, code) pairs' codes, step-major with codes
+    ascending, and the number of distinct codes at each step.
+    """
+    grid = np.sort(np.where(active, codes, -1), axis=0)
+    keep = grid >= 0
+    keep[1:] &= grid[1:] != grid[:-1]
+    return grid.T[keep.T], keep.sum(axis=0)
+
+
 def _run_cluster_schedule(
-    streams,
-    active_masks,
-    cfg: ArchConfig,
-    sparse_mode: bool,
-    u_nnz_lookup,
-    collect_steps: bool,
+    streams, cfg: ArchConfig, weights=None, collect_steps: bool = False
 ) -> SimReport:
+    """Replay the lockstep streams through the cluster's operand FIFOs.
+
+    `weights` is None for the dense datapath, or (ascending present weight
+    codes, their nonzero counts) for the sparse one: only operations on a
+    present weight run, weight misses pass the decompressor and the
+    feature-map FIFO splits into one half-depth FIFO per column group.
+    """
     issue = cfg.cycles_per_block_matmul_issue
-    n_streams = len(streams)
-    n_steps = len(streams[0].c) if n_streams else 0
-    a_cols = [s.a.tolist() for s in streams]
-    b_cols = [s.b.tolist() for s in streams]
-    col_groups = [s.col_half for s in streams]
-
-    a_fifo = _FifoCache(cfg.fifo_depth)
-    if sparse_mode:
-        b_fifos = {g: _FifoCache(cfg.fifo_depth // 2) for g in set(col_groups)}
+    a = np.stack([s.a for s in streams])
+    b = np.stack([s.b for s in streams])
+    if weights is None:
+        active = np.ones(a.shape, dtype=bool)
+        fm_fifos = [(slice(None), cfg.fifo_depth)]
     else:
-        b_shared = _FifoCache(cfg.fifo_depth)
+        present, nnz = weights
+        active = np.isin(a, present)
+        halves = [s.col_half for s in streams]
+        fm_fifos = [
+            ([q for q, g in enumerate(halves) if g == h], cfg.fifo_depth // 2) for h in set(halves)
+        ]
 
-    ext = loc = slots = macs = steps = 0
-    decomp = 0
-    busy = [0] * max(4, n_streams)
-    step_slots = [] if collect_steps else None
-    step_distinct = [] if collect_steps else None
+    seq, distinct = _accesses(a, active)
+    a_missed = seq[_fifo_misses(seq.tolist(), cfg.fifo_depth)]
+    ext = len(a_missed)
+    for rows, depth in fm_fifos:
+        seq, per_step = _accesses(b[rows], active[rows])
+        ext += int(_fifo_misses(seq.tolist(), depth).sum())
+        distinct = distinct + per_step
 
-    if active_masks is None:
-        step_iter = range(n_steps)
-    else:
-        any_active = np.zeros(n_steps, dtype=bool)
-        for mask in active_masks:
-            any_active |= mask
-        step_iter = np.flatnonzero(any_active).tolist()
-
-    for p in step_iter:
-        if active_masks is None:
-            active = range(n_streams)
-        else:
-            active = [q for q in range(n_streams) if active_masks[q][p]]
-        steps += 1
-        n_active = len(active) if active_masks is not None else n_streams
-        slots += 2 * n_active
-        macs += n_active
-        distinct_this_step = 0
-
-        # weight (left operand) side: one shared FIFO
-        a_counts: dict = {}
-        for q in active:
-            code = a_cols[q][p]
-            a_counts[code] = a_counts.get(code, 0) + 1
-            busy[q] += issue
-        for code in sorted(a_counts):
-            distinct_this_step += 1
-            if a_fifo.access(code):
-                loc += 1
-            else:
-                ext += 1
-                if sparse_mode:
-                    decomp += u_nnz_lookup(code) * cfg.decompress_cycles_per_nnz
-            loc += a_counts[code] - 1
-
-        # feature-map (right operand) side
-        if sparse_mode:
-            group_counts: dict = {}
-            for q in active:
-                key = (col_groups[q], b_cols[q][p])
-                group_counts[key] = group_counts.get(key, 0) + 1
-            for group, code in sorted(group_counts):
-                distinct_this_step += 1
-                if b_fifos[group].access(code):
-                    loc += 1
-                else:
-                    ext += 1
-                loc += group_counts[(group, code)] - 1
-        else:
-            b_counts: dict = {}
-            for q in active:
-                code = b_cols[q][p]
-                b_counts[code] = b_counts.get(code, 0) + 1
-            for code in sorted(b_counts):
-                distinct_this_step += 1
-                if b_shared.access(code):
-                    loc += 1
-                else:
-                    ext += 1
-                loc += b_counts[code] - 1
-
-        if collect_steps:
-            step_slots.append(2 * n_active)
-            step_distinct.append(distinct_this_step)
+    n_active = active.sum(axis=0)
+    ran = n_active > 0
+    steps = int(ran.sum())
+    macs = int(n_active.sum())
+    slots = 2 * macs
+    busy = [0] * 4
+    busy[: len(streams)] = (issue * active.sum(axis=1)).tolist()
 
     compute = steps * issue
-    if macs == 0:
-        total = 0
-        stall = 0
-    else:
-        if sparse_mode:
-            stall = max(0, decomp - compute) if cfg.fifo_depth >= 2 else decomp
-        else:
-            stall = 0
-        total = cfg.pipeline_fill + compute + stall
+    stall = 0
+    if weights is not None:
+        decomp = int(nnz[np.searchsorted(present, a_missed)].sum())
+        decomp *= cfg.decompress_cycles_per_nnz
+        stall = max(0, decomp - compute) if cfg.fifo_depth >= 2 else decomp
+    total = cfg.pipeline_fill + compute + stall if macs else 0
 
     return SimReport(
         total_cycles=total,
         external_block_fetches=ext,
-        local_block_fetches=loc,
+        local_block_fetches=slots - ext,
         block_matmuls_executed=macs,
-        busy_cycles=busy[:4] if n_streams <= 4 else busy,
+        busy_cycles=busy,
         bandwidth_reduction_factor=slots / ext if ext else 1.0,
         operand_slots=slots,
         steps_executed=steps,
         decompress_stall_cycles=stall,
         matmul_cycles=total,
-        step_slots=step_slots,
-        step_distinct=step_distinct,
+        step_slots=(2 * n_active[ran]).tolist() if collect_steps else None,
+        step_distinct=distinct[ran].tolist() if collect_steps else None,
     )
 
 
@@ -306,7 +267,7 @@ def simulate_cluster_dense(
     if U.cols != V.rows:
         raise ValueError(f"inner dimensions differ: {U.cols} vs {V.rows}")
     streams = matmul_streams(U.block_rows, U.block_cols, V.block_cols)
-    report = _run_cluster_schedule(streams, None, cfg, False, None, collect_steps)
+    report = _run_cluster_schedule(streams, cfg, collect_steps=collect_steps)
     return report, recursive_matmul(U, V)
 
 
@@ -324,11 +285,7 @@ def simulate_cluster_sparse(
     mb = _next_pow2(-(-U.rows // U.l))
     nb = _next_pow2(-(-U.cols // U.l))
     streams = matmul_streams(mb, nb, V.block_cols)
-    masks = [np.isin(s.a, U.bn) for s in streams]
-    nnz_by_code = dict(zip(U.bn.tolist(), np.diff(U.bi).tolist()))
-    report = _run_cluster_schedule(
-        streams, masks, cfg, True, lambda code: nnz_by_code[code], collect_steps
-    )
+    report = _run_cluster_schedule(streams, cfg, (U.bn, np.diff(U.bi)), collect_steps)
     return report, block_matmul_sparse(U, V)
 
 
@@ -389,26 +346,26 @@ def simulate_layer(
     nb = _next_pow2(-(-layer.C // l))
     pb = _next_pow2(-(-P // l))
     streams = matmul_streams(mb, nb, pb)
-    grid_codes = _grid_codes(mb, nb)
 
-    sparse_mode = sparsity > 0.0
-    block_nnz = _synthetic_block_nnz(l, sparsity)
+    if sparsity > 0.0:
+        grid_codes = _grid_codes(mb, nb)
+        block_nnz = _synthetic_block_nnz(l, sparsity)
+        reps = []
+        for pos in range(l * l):
+            present = _synthetic_present_codes(grid_codes, sparsity, seed, pos)
+            nnz = np.full(len(present), block_nnz)
+            reps.append(_run_cluster_schedule(streams, cfg, (present, nnz)))
+    else:
+        # Every dense position replays the same streams, so one replay serves all l^2.
+        reps = [_run_cluster_schedule(streams, cfg)] * (l * l)
+
     cluster_cycles = [0] * cfg.clusters
     busy = [0] * (cfg.clusters * 4)
     ext = loc = slots = macs = steps = stall = 0
-
-    for pos in range(l * l):
+    for pos, rep in enumerate(reps):
         cluster = pos % cfg.clusters
-        if sparse_mode:
-            present = _synthetic_present_codes(grid_codes, sparsity, seed, pos)
-            masks = [np.isin(s.a, present) for s in streams]
-        else:
-            masks = None
-        rep = _run_cluster_schedule(
-            streams, masks, cfg, sparse_mode, (lambda code: block_nnz), False
-        )
         cluster_cycles[cluster] += rep.total_cycles
-        for q, b in enumerate(rep.busy_cycles[:4]):
+        for q, b in enumerate(rep.busy_cycles):
             busy[cluster * 4 + q] += b
         ext += rep.external_block_fetches
         loc += rep.local_block_fetches

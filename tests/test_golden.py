@@ -36,8 +36,28 @@ def _sha256(data: bytes) -> str:
              "--sparsities", "0,0.6,0.9"],
             "e7651866ce520b04bb3fd78787d2e28c1ccbafece4144717ba4fd48219866943",
         ),
+        (
+            ["simulate", "--spec", "vgg16", "--scale", "8", "--fifo-depth", "1"],
+            "9543d6a0c5c43f0489a1ee61a3e64c8cf451b04066c861f14583255670663d05",
+        ),
+        (
+            ["simulate", "--spec", "vgg16", "--scale", "8", "--fifo-depth", "1",
+             "--sparsity", "0.6"],
+            "7dd417f9557d2dc704fa46122cfabbdeee6761d2656666dec577ef947f9ce1ba",
+        ),
+        (
+            ["simulate", "--spec", "vgg16", "--scale", "8", "--fifo-depth", "3",
+             "--clusters", "3", "--sparsity", "0.9"],
+            "77bcf64d21e8690c74132d03a05c7615fe04e8cfd3100099e6f2a27df4062e5d",
+        ),
+        (
+            ["dse", "--spec", "vgg16", "--scale", "8", "--m-values", "3",
+             "--sparsities", "0,0.5", "--fifo-depth", "2", "--transform-arrays", "5"],
+            "dd8374d547c4444e95b0d50a425dc371160e4ef548e956d96ea89f5d6abb6b55",
+        ),
     ],
-    ids=["simulate-dense", "simulate-sparse", "dse"],
+    ids=["simulate-dense", "simulate-sparse", "dse", "simulate-fifo1", "simulate-fifo1-sparse",
+         "simulate-fifo3-clusters3-sparse", "dse-m3-fifo2"],
 )
 def test_cli_csv_digest(tmp_path, argv, digest):
     out = tmp_path / "out.csv"

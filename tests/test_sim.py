@@ -1,5 +1,9 @@
+from collections import deque
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from winosim.bcoo import bcoo_encode
 from winosim.engine import LayerSpec, recursive_matmul
@@ -15,6 +19,7 @@ from winosim.sim import (
     sim_csv_row,
     transform_tiles_two_pass,
 )
+from winosim.sim import _fifo_misses
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +36,32 @@ def test_arch_config_defaults(cfg):
     assert cfg.cycles_per_block_matmul_issue == 4
     assert cfg.pipeline_fill == 6
     assert cfg.transform_pass_cycles == 10
+
+
+# ---------------------------------------------------------------------------
+# operand FIFO
+
+
+def _reference_fifo_misses(keys, capacity):
+    """A literal circular FIFO: only misses insert, the oldest entry leaves."""
+    queue, members, misses = deque(), set(), []
+    for key in keys:
+        hit = key in members
+        misses.append(not hit)
+        if not hit and capacity > 0:
+            if len(queue) == capacity:
+                members.discard(queue.popleft())
+            queue.append(key)
+            members.add(key)
+    return misses
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(st.integers(0, 12), max_size=80), capacity=st.integers(0, 5))
+def test_fifo_misses_matches_reference_fifo(keys, capacity):
+    got = _fifo_misses(keys, capacity)
+    assert got.dtype == bool
+    assert got.tolist() == _reference_fifo_misses(keys, capacity)
 
 
 # ---------------------------------------------------------------------------
