@@ -65,9 +65,6 @@ class BcooMatrix:
     def nnz(self) -> int:
         return len(self.an)
 
-    def block_nnz(self) -> np.ndarray:
-        return np.diff(self.bi)
-
     def owners(self) -> np.ndarray:
         """Position in BN of the block holding each nonzero."""
         return np.repeat(np.arange(len(self.bn)), np.diff(self.bi))
@@ -162,17 +159,11 @@ def prune(batch: TransformedBatch, target_sparsity: float) -> TransformedBatch:
         raise ValueError("target_sparsity must lie in [0, 1]")
     pruned = []
     for mat in batch:
-        dense = from_zmorton(mat)
-        total = dense.size
-        needed = int(np.ceil(target_sparsity * total))
-        current = int(np.count_nonzero(dense == 0.0))
-        if needed > current:
-            rr, cc = np.nonzero(dense)
-            vals = np.abs(dense[rr, cc])
-            order = np.lexsort((cc, rr, vals))
-            kill = order[: needed - current]
-            dense = dense.copy()
-            dense[rr[kill], cc[kill]] = 0.0
+        dense = from_zmorton(mat)  # a fresh array, never a view of `mat`
+        needed = int(np.ceil(target_sparsity * dense.size))
+        # Existing zeros sort first; the stable sort of the row-major
+        # flattening breaks magnitude ties by (row, col).
+        dense.flat[np.argsort(np.abs(dense), axis=None, kind="stable")[:needed]] = 0.0
         pruned.append(to_zmorton(dense, mat.l))
     return TransformedBatch(l=batch.l, mats=pruned)
 

@@ -12,9 +12,16 @@ reference.  The module also holds the auxiliary network layers (fully
 connected, ReLU, 2x2 max pooling) and layer/network descriptions.
 
 Schedule order.  The recursive multiply halves every block dimension
-greater than one until single l-by-l blocks remain.  Unrolled, the four
-top-level output quadrants advance in lockstep, one accumulation
-statement each per turn, which for a 16x16 input (l = 4) starts
+greater than one until single l-by-l blocks remain.  Over power-of-two
+block extents its depth-first order is a fixed bit order of one
+operation counter: each recursion level adds, most significant first, a
+bit of the output row, then of the output column, then of the inner
+(shared) dimension, and a dimension adds no more bits once its extent is
+used up.  The top row and column bits pick the top-level output quadrant
+(one per systolic array, matmul_streams).  Moved down to just above the
+trailing run of inner bits, they make the four quadrants advance in
+lockstep, one accumulation statement each per turn (matmul_trace), which
+for a 16x16 input (l = 4) starts
 
     C_0  += A_0 * B_0  + A_1 * B_2
     C_4  += A_0 * B_4  + A_1 * B_6
@@ -174,64 +181,64 @@ class NetworkSpec:
 class MatmulStream:
     """One top-level output quadrant's depth-first block-operation stream."""
 
-    row_half: int
     col_half: int
     c: np.ndarray  # Morton codes of the output block per operation
     a: np.ndarray  # Morton codes of the left operand block
     b: np.ndarray  # Morton codes of the right operand block
 
 
-def _emit(r0, rn, k0, kn, c0, cn, out_r, out_k, out_c):
-    if rn == 1 and kn == 1 and cn == 1:
-        out_r.append(r0)
-        out_k.append(k0)
-        out_c.append(c0)
-        return
-    r_parts = [(r0, rn)] if rn == 1 else [(r0, rn // 2), (r0 + rn // 2, rn // 2)]
-    k_parts = [(k0, kn)] if kn == 1 else [(k0, kn // 2), (k0 + kn // 2, kn // 2)]
-    c_parts = [(c0, cn)] if cn == 1 else [(c0, cn // 2), (c0 + cn // 2, cn // 2)]
-    for ra, rb in r_parts:
-        for ca, cb in c_parts:
-            for ka, kb in k_parts:
-                _emit(ra, rb, ka, kb, ca, cb, out_r, out_k, out_c)
+_ROW, _INNER, _COL = range(3)
+
+
+def _order_bits(mb: int, nb: int, pb: int) -> list[tuple[int, int]]:
+    """(dimension, bit) of each operation-counter bit, most significant first.
+
+    Each recursion level halves the row, then the column, then the inner
+    block range; a dimension whose extent is used up adds no more bits.
+    """
+    extents = (mb, nb, pb)  # indexed by _ROW, _INNER, _COL
+    for extent, label in zip(extents, ("rows", "inner", "cols")):
+        if extent < 1 or extent & (extent - 1):
+            raise ValueError(f"block {label} count {extent} is not a power of two")
+    widths = [int(extent).bit_length() - 1 for extent in extents]
+    return [
+        (dim, widths[dim] - 1 - level)
+        for level in range(max(widths))
+        for dim in (_ROW, _COL, _INNER)
+        if level < widths[dim]
+    ]
+
+
+def _schedule_codes(order) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Morton (c, a, b) codes of every counter value, its bits placed per `order`."""
+    ops = np.arange(1 << len(order), dtype=np.int64)
+    coords = np.zeros((3, len(ops)), dtype=np.int64)
+    for shift, (dim, bit) in enumerate(reversed(order)):
+        coords[dim] |= ((ops >> shift) & 1) << bit
+    row, inner, col = coords
+    return (
+        _morton_encode_array(row, col),
+        _morton_encode_array(row, inner),
+        _morton_encode_array(inner, col),
+    )
 
 
 @lru_cache(maxsize=64)
 def matmul_streams(mb: int, nb: int, pb: int) -> tuple[MatmulStream, ...]:
     """Streams for an (mb x nb) by (nb x pb) block-grid multiply.
 
-    All grid extents must be powers of two.  The depth-first order puts
-    each top-level output quadrant in one contiguous chunk; those chunks
-    are the per-systolic-array streams and advance in lockstep.
+    All grid extents must be powers of two.  The top row and column bits
+    of the counter pick the top-level output quadrant, so each quadrant is
+    one contiguous chunk; those chunks are the per-systolic-array streams
+    and advance in lockstep.
     """
-    for dim, label in ((mb, "rows"), (nb, "inner"), (pb, "cols")):
-        if dim < 1 or dim & (dim - 1):
-            raise ValueError(f"block {label} count {dim} is not a power of two")
-    rr, kk, cc = [], [], []
-    _emit(0, mb, 0, nb, 0, pb, rr, kk, cc)
-    rr = np.array(rr, dtype=np.int64)
-    kk = np.array(kk, dtype=np.int64)
-    cc = np.array(cc, dtype=np.int64)
-    c_codes = _morton_encode_array(rr, cc)
-    a_codes = _morton_encode_array(rr, kk)
-    b_codes = _morton_encode_array(kk, cc)
-    n_row_halves = 2 if mb > 1 else 1
     n_col_halves = 2 if pb > 1 else 1
-    n_streams = n_row_halves * n_col_halves
-    chunk = len(c_codes) // n_streams
-    streams = []
-    for q in range(n_streams):
-        sl = slice(q * chunk, (q + 1) * chunk)
-        streams.append(
-            MatmulStream(
-                row_half=q // n_col_halves,
-                col_half=q % n_col_halves,
-                c=c_codes[sl],
-                a=a_codes[sl],
-                b=b_codes[sl],
-            )
-        )
-    return tuple(streams)
+    n_streams = (2 if mb > 1 else 1) * n_col_halves
+    codes = _schedule_codes(_order_bits(mb, nb, pb))
+    chunks = zip(*(np.split(code, n_streams) for code in codes))
+    return tuple(
+        MatmulStream(col_half=q % n_col_halves, c=c, a=a, b=b) for q, (c, a, b) in enumerate(chunks)
+    )
 
 
 @lru_cache(maxsize=64)
@@ -240,20 +247,16 @@ def matmul_trace(mb: int, nb: int, pb: int) -> tuple[np.ndarray, np.ndarray, np.
 
     Statements (runs of operations accumulating into one output block)
     rotate round-robin across the top-level quadrant streams, reproducing
-    the order block memory is visited.
+    the order block memory is visited: the quadrant bits move from the top
+    of the counter to just above its trailing run of inner bits.
     """
-    streams = matmul_streams(mb, nb, pb)
-    n = len(streams[0].c)
-    # All streams share one run structure, so statement ids come from any one.
-    stmt = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        stmt[1:] = np.cumsum(streams[0].c[1:] != streams[0].c[:-1])
-    order = np.argsort(
-        np.concatenate([stmt * len(streams) + q for q in range(len(streams))]),
-        kind="stable",
-    )
-    cat = lambda attr: np.concatenate([getattr(s, attr) for s in streams])[order]
-    return cat("c"), cat("a"), cat("b")
+    order = _order_bits(mb, nb, pb)
+    n_quadrant = (mb > 1) + (pb > 1)
+    rest = order[n_quadrant:]
+    split = len(rest)
+    while split and rest[split - 1][0] == _INNER:
+        split -= 1
+    return _schedule_codes(rest[:split] + order[:n_quadrant] + rest[split:])
 
 
 # ---------------------------------------------------------------------------

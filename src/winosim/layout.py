@@ -127,12 +127,6 @@ class ZMortonMatrix:
         """Positions of the given Morton codes in the stored block sequence."""
         return np.searchsorted(self.block_codes, codes)
 
-    def block(self, block_row: int, block_col: int) -> np.ndarray:
-        return self.blocks[int(self.ranks_of(morton_encode(block_row, block_col)))]
-
-    def to_dense(self) -> np.ndarray:
-        return from_zmorton(self)
-
 
 def _grid_codes(block_rows: int, block_cols: int) -> np.ndarray:
     rr, cc = np.meshgrid(np.arange(block_rows), np.arange(block_cols), indexing="ij")

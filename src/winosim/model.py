@@ -37,14 +37,12 @@ from .sim import ArchConfig, SimReport, simulate_layer
 
 __all__ = [
     "EnergyParams",
-    "ModelReport",
     "SweepRow",
     "tile_count",
     "volumes",
     "mult_count",
     "add_counts",
     "energy",
-    "layer_report",
     "weight_dilation",
     "fm_dilation",
     "vgg16_spec",
@@ -78,22 +76,6 @@ class EnergyParams:
             raise ValueError(
                 "unit energies must satisfy e_external > e_local > e_multiply >= e_add > 0"
             )
-
-
-@dataclass(frozen=True)
-class ModelReport:
-    """Per-layer analytical counts and energy."""
-
-    layer: str
-    m: int
-    d_wi: int
-    d_wo: int
-    d_wk: int
-    m_w: int
-    s_w: int
-    s_b: int
-    s_a: int
-    e_tot: float
 
 
 def tile_count(layer: LayerSpec, m: int) -> int:
@@ -141,34 +123,16 @@ def energy(
 ) -> float:
     d_wi, d_wo, d_wk = volumes(layer, plan.m, plan.r)
     m_w = mult_count(layer, plan.m, plan.r)
-    s_w, s_b, s_a = add_counts(layer, plan, corrected_transform_adds)
+    return _energy(ep, d_wi, d_wo, d_wk, m_w, sum(add_counts(layer, plan, corrected_transform_adds)))
+
+
+def _energy(ep: EnergyParams, d_wi, d_wo, d_wk, m_w, adds) -> float:
+    """E from the counts; `adds` is S_W + S_B + S_A."""
     return (
         ep.e_local * (d_wi + d_wo)
         + ep.e_external * d_wk
         + ep.e_multiply * m_w
-        + ep.e_add * (s_w + s_b + s_a)
-    )
-
-
-def layer_report(
-    layer: LayerSpec,
-    plan: WinogradPlan,
-    ep: EnergyParams,
-    corrected_transform_adds: bool = False,
-) -> ModelReport:
-    d_wi, d_wo, d_wk = volumes(layer, plan.m, plan.r)
-    s_w, s_b, s_a = add_counts(layer, plan, corrected_transform_adds)
-    return ModelReport(
-        layer=layer.name,
-        m=plan.m,
-        d_wi=d_wi,
-        d_wo=d_wo,
-        d_wk=d_wk,
-        m_w=mult_count(layer, plan.m, plan.r),
-        s_w=s_w,
-        s_b=s_b,
-        s_a=s_a,
-        e_tot=energy(layer, plan, ep, corrected_transform_adds),
+        + ep.e_add * adds
     )
 
 
@@ -298,6 +262,9 @@ def dse_sweep(
     sparsities = list(sparsities)
     if not m_values or not sparsities:
         raise ValueError("sweeps must be non-empty")
+    for s in sparsities:
+        if not 0.0 <= s <= 1.0:  # NaN fails too
+            raise ValueError(f"sparsity {s!r} must lie in [0, 1]")
     ep = ep or EnergyParams()
     cfg = cfg or ArchConfig()
     plans: dict = {}
@@ -316,12 +283,7 @@ def dse_sweep(
                 surviving = 1.0 - s
                 m_w_eff = int(round(m_w * surviving))
                 d_wk_eff = int(round(d_wk * surviving))
-                e_tot = (
-                    ep.e_local * (d_wi + d_wo)
-                    + ep.e_external * d_wk_eff
-                    + ep.e_multiply * m_w_eff
-                    + ep.e_add * (s_w + s_b + s_a)
-                )
+                e_tot = _energy(ep, d_wi, d_wo, d_wk_eff, m_w_eff, s_w + s_b + s_a)
                 if simulate:
                     rep = simulate_layer(layer, lplan, lcfg, s, seed)
                 else:

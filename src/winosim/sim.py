@@ -339,6 +339,8 @@ def simulate_layer(
         raise ValueError("sparsity must lie in [0, 1]")
     if cfg.l != plan.l:
         raise ValueError(f"architecture block side {cfg.l} != plan l={plan.l}")
+    if plan.r != layer.r:
+        raise ValueError(f"{layer.name}: filter width {layer.r} != plan r={plan.r}")
     l = plan.l
     th, tw = layer.tile_counts(plan.m)
     P = th * tw

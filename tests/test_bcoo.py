@@ -151,6 +151,17 @@ def test_prune_counts_existing_zeros():
     assert got[0, 0] == 5.0
 
 
+def test_prune_breaks_magnitude_ties_by_row_then_col():
+    m = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 0.0], [1.0, 2.0, -1.0]])
+    batch = _batch_of(m)
+    got = from_zmorton(prune(batch, 0.5).mats[0])
+    # ceil(0.5 * 9) = 5 zeros: the existing one, then the first four unit
+    # magnitudes in row-major order
+    want = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0, -1.0]])
+    assert np.array_equal(got, want)
+    assert np.array_equal(from_zmorton(batch.mats[0]), m)  # input left unmodified
+
+
 def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     m = _random_sparse(rng, 12, 9, 0.6)

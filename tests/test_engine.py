@@ -1,4 +1,5 @@
 import struct
+from itertools import groupby, product
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from winosim.engine import (
     winograd_conv_dense,
     winograd_conv_sparse,
 )
-from winosim.layout import from_zmorton, to_zmorton
+from winosim.layout import _morton_encode_array, from_zmorton, to_zmorton
 from winosim.plans import OpCounters, make_plan
 
 
@@ -179,6 +180,61 @@ def test_streams_lockstep_operand_sharing():
         a_set = {int(s.a[p]) for s in streams}
         b_set = {int(s.b[p]) for s in streams}
         assert len(a_set) == 2 and len(b_set) == 2  # pairwise sharing each step
+
+
+def _emit(r0, rn, k0, kn, c0, cn, out_r, out_k, out_c):
+    """The recursive depth-first block multiply, one call per block operation."""
+    if rn == 1 and kn == 1 and cn == 1:
+        out_r.append(r0)
+        out_k.append(k0)
+        out_c.append(c0)
+        return
+    r_parts = [(r0, rn)] if rn == 1 else [(r0, rn // 2), (r0 + rn // 2, rn // 2)]
+    k_parts = [(k0, kn)] if kn == 1 else [(k0, kn // 2), (k0 + kn // 2, kn // 2)]
+    c_parts = [(c0, cn)] if cn == 1 else [(c0, cn // 2), (c0 + cn // 2, cn // 2)]
+    for ra, rb in r_parts:
+        for ca, cb in c_parts:
+            for ka, kb in k_parts:
+                _emit(ra, rb, ka, kb, ca, cb, out_r, out_k, out_c)
+
+
+def _reference_schedule(mb, nb, pb):
+    """(streams as (col_half, ops) pairs, trace ops) from the recursion."""
+    rr, kk, cc = [], [], []
+    _emit(0, mb, 0, nb, 0, pb, rr, kk, cc)
+    ops = list(
+        zip(
+            _morton_encode_array(rr, cc).tolist(),
+            _morton_encode_array(rr, kk).tolist(),
+            _morton_encode_array(kk, cc).tolist(),
+        )
+    )
+    n_streams = (2 if mb > 1 else 1) * (2 if pb > 1 else 1)
+    chunk = len(ops) // n_streams
+    starts = range(0, len(ops), chunk)
+    streams = [(cc[s] * 2 // pb, ops[s : s + chunk]) for s in starts]
+    # statements (runs into one output block) rotate round-robin over the streams
+    stmts = [[list(run) for _, run in groupby(s, key=lambda op: op[0])] for _, s in streams]
+    trace = [op for turn in zip(*stmts) for stmt in turn for op in stmt]
+    return streams, trace
+
+
+def test_schedule_matches_recursive_reference():
+    extents = [1, 2, 4, 8, 16, 32]
+    for mb, nb, pb in product(extents, repeat=3):
+        ref_streams, ref_trace = _reference_schedule(mb, nb, pb)
+        streams = matmul_streams(mb, nb, pb)
+        got = [(s.col_half, list(zip(s.c.tolist(), s.a.tolist(), s.b.tolist()))) for s in streams]
+        assert got == ref_streams, (mb, nb, pb)
+        cc, aa, bb = matmul_trace(mb, nb, pb)
+        assert list(zip(cc.tolist(), aa.tolist(), bb.tolist())) == ref_trace, (mb, nb, pb)
+
+
+def test_schedule_rejects_non_power_of_two_extents():
+    with pytest.raises(ValueError, match="power of two"):
+        matmul_trace(3, 4, 4)
+    with pytest.raises(ValueError, match="power of two"):
+        matmul_streams(4, 4, 6)
 
 
 def test_accumulation_ascending_inner(plan):

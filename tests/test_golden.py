@@ -55,9 +55,19 @@ def _sha256(data: bytes) -> str:
              "--sparsities", "0,0.5", "--fifo-depth", "2", "--transform-arrays", "5"],
             "dd8374d547c4444e95b0d50a425dc371160e4ef548e956d96ea89f5d6abb6b55",
         ),
+        (
+            ["dse", "--spec", "vgg16", "--scale", "8", "--m-values", "2,4",
+             "--sparsities", "0,0.6,0.9", "--corrected-transform-adds"],
+            "6b24bb9d0cc0bf53a8b3327b8ae436daee70f0a6f2fd99083b6c62fffe25a334",
+        ),
+        (
+            ["dse", "--spec", "vgg16", "--scale", "8", "--m-values", "2,3,4",
+             "--sparsities", "0,0.5,1", "--no-sim"],
+            "f2dc78a5a57749747a190aad70dbeaf788507aa5adfd2de5a0739769e5b2313f",
+        ),
     ],
     ids=["simulate-dense", "simulate-sparse", "dse", "simulate-fifo1", "simulate-fifo1-sparse",
-         "simulate-fifo3-clusters3-sparse", "dse-m3-fifo2"],
+         "simulate-fifo3-clusters3-sparse", "dse-m3-fifo2", "dse-corrected-adds", "dse-no-sim"],
 )
 def test_cli_csv_digest(tmp_path, argv, digest):
     out = tmp_path / "out.csv"

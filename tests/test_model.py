@@ -209,6 +209,14 @@ def test_dse_rejects_empty_sweep():
         dse_sweep(NetworkSpec(items=()), [], [0.0])
 
 
+@pytest.mark.parametrize("sparsity", [1.5, -0.2, float("nan")])
+def test_dse_rejects_sparsity_outside_unit_interval(sparsity):
+    # without the simulator, nothing else would check the sparsity
+    layer = LayerSpec("t", H=4, W=4, C=2, K=2, r=3, pad=1)
+    with pytest.raises(ValueError, match="sparsity"):
+        dse_sweep(NetworkSpec(items=(layer,)), [2], [0.0, sparsity], simulate=False)
+
+
 def test_dse_csv_roundtrip_field_count():
     layer = LayerSpec("t", H=4, W=4, C=2, K=2, r=3, pad=1)
     rows = dse_sweep(NetworkSpec(items=(layer,)), [2], [0.0], simulate=False)

@@ -258,6 +258,13 @@ def test_layer_sparsity_speedup_and_monotonicity(plan, cfg):
     assert dense.total_cycles / cycles[-1] >= 3.0
 
 
+def test_layer_rejects_plan_for_other_filter_width():
+    # an F(2, 5) plan has the l = 6 of a matching ArchConfig but not the layer's r = 3
+    layer = LayerSpec("t", H=8, W=8, C=4, K=4, r=3, pad=1)
+    with pytest.raises(ValueError, match="filter width"):
+        simulate_layer(layer, make_plan(2, 5), ArchConfig(l=6))
+
+
 def test_layer_determinism(plan, cfg):
     layer = LayerSpec("t", H=8, W=8, C=16, K=16, r=3, pad=1)
     r1 = simulate_layer(layer, plan, cfg, 0.7, seed=3)
