@@ -8,7 +8,7 @@ operand-block products, in the order the cluster hardware visits them.
 import argparse
 
 from winosim.engine import matmul_trace
-from winosim.layout import _next_pow2
+from winosim.layout import _block_extent
 
 
 def main():
@@ -18,7 +18,7 @@ def main():
     ap.add_argument("--limit", type=int, default=16, help="statements to print")
     args = ap.parse_args()
 
-    nb = _next_pow2(-(-args.size // args.l))
+    nb = _block_extent(args.size, args.l)
     cc, aa, bb = matmul_trace(nb, nb, nb)
     printed = 0
     i = 0

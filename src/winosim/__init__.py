@@ -5,7 +5,7 @@ Library layout:
     plans   -- F(m, r) transform matrices and tile-level transforms
     layout  -- tile extraction, transformed-matrix batches, Z-Morton blocks
     bcoo    -- magnitude pruning and the block-compressed sparse format
-    engine  -- direct/dense/sparse convolution, block matmul schedule, layers
+    engine  -- direct/dense/sparse convolution, block matmul schedule, layer specs
     sim     -- deterministic systolic-array cluster model
     model   -- analytical volume/arithmetic/energy model and sweeps
     cli     -- command-line front door (`winosim`)
@@ -26,7 +26,6 @@ from .engine import (
     block_matmul_sparse,
     direct_conv,
     recursive_matmul,
-    run_network,
     winograd_conv_dense,
     winograd_conv_sparse,
 )

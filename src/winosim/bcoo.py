@@ -22,9 +22,9 @@ from .layout import (
     _AXIS_LIMIT,
     TransformedBatch,
     ZMortonMatrix,
+    _block_extent,
     _compact_bits,
     _morton_encode_array,
-    _next_pow2,
     from_zmorton,
     to_zmorton,
     zmorton_zeros,
@@ -35,7 +35,6 @@ __all__ = [
     "BcooMatrix",
     "bcoo_encode",
     "bcoo_decode",
-    "iter_nonzero_blocks",
     "prune",
     "bcoo_to_bytes",
     "bcoo_from_bytes",
@@ -77,8 +76,8 @@ class BcooMatrix:
 
     def validate(self) -> None:
         l = self.l
-        nbr = _next_pow2(-(-self.rows // l))
-        nbc = _next_pow2(-(-self.cols // l))
+        nbr = _block_extent(self.rows, l)
+        nbc = _block_extent(self.cols, l)
         if max(nbr, nbc) > _AXIS_LIMIT:
             raise BcooFormatError(f"{nbr}x{nbc} block grid exceeds the {_AXIS_BITS}-bit Morton axis")
         if len(self.bi) != len(self.bn) + 1:
@@ -141,11 +140,6 @@ def bcoo_decode(b: BcooMatrix) -> ZMortonMatrix:
     zm = zmorton_zeros(b.rows, b.cols, b.l)
     zm.blocks[zm.ranks_of(b.bn)] = b.block_stack()
     return zm
-
-
-def iter_nonzero_blocks(b: BcooMatrix):
-    """Iterate (morton_index, dense l-by-l block) in ascending Morton order."""
-    return zip(b.bn.tolist(), b.block_stack())
 
 
 def prune(batch: TransformedBatch, target_sparsity: float) -> TransformedBatch:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bcoo as bcoo_mod
 from . import engine, model, sim
-from .layout import _next_pow2, from_zmorton, morton_decode, morton_encode, to_zmorton
+from .layout import _block_extent, from_zmorton, morton_decode, morton_encode, to_zmorton
 from .plans import OpCounters, make_plan
 
 _DEF_SHAPES = [
@@ -193,7 +193,7 @@ def cmd_compress(args) -> int:
             fh.write(bcoo_mod.bcoo_to_bytes(enc))
     blocks_stored = sum(len(e.bn) for e in encoded)
     e0 = encoded[0]
-    grid_blocks = _next_pow2(-(-e0.rows // e0.l)) * _next_pow2(-(-e0.cols // e0.l))
+    grid_blocks = _block_extent(e0.rows, e0.l) * _block_extent(e0.cols, e0.l)
     total_blocks = grid_blocks * len(encoded)
     nnz = sum(e.nnz for e in encoded)
     print(

@@ -8,8 +8,7 @@ independent GEMMs of the Winograd split.  Alongside it sits the block
 engine: the divide-and-conquer multiply over Z-Morton operands that the
 systolic clusters execute.  The simulator replays its schedule, and
 winograd_conv_blocks runs the convolution through it as an independent
-reference.  The module also holds the auxiliary network layers (fully
-connected, ReLU, 2x2 max pooling) and layer/network descriptions.
+reference.  The module also holds the layer and network descriptions.
 
 Schedule order.  The recursive multiply halves every block dimension
 greater than one until single l-by-l blocks remain.  Over power-of-two
@@ -47,17 +46,16 @@ from .bcoo import BcooMatrix, bcoo_decode, bcoo_encode
 from .layout import (
     TransformedBatch,
     ZMortonMatrix,
+    _block_extent,
     _compact_bits,
     _filter_stack,
     _input_stack,
     _morton_encode_array,
-    _next_pow2,
     assemble_output,
     extract_tiles,
     from_zmorton,
     gather_filters,
     scatter_to_matrices,
-    to_zmorton,
     transform_tiles,
     zmorton_zeros,
 )
@@ -78,10 +76,6 @@ __all__ = [
     "winograd_conv_sparse",
     "winograd_conv_blocks",
     "compress_filters",
-    "fc_layer",
-    "relu",
-    "maxpool2",
-    "run_network",
     "save_tensor",
     "load_tensor",
     "tensor_to_bytes",
@@ -113,6 +107,10 @@ class LayerSpec:
             raise ValueError(f"{self.name}: filter width must be odd")
         if self.stride < 1:
             raise ValueError(f"{self.name}: stride must be >= 1")
+        if self.pad < 0:
+            raise ValueError(f"{self.name}: pad must be >= 0")
+        if min(self.out_h, self.out_w) < 1:
+            raise ValueError(f"{self.name}: non-positive output extent {self.out_h}x{self.out_w}")
 
     @property
     def out_h(self) -> int:
@@ -128,14 +126,14 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class PoolSpec:
-    """2x2 stride-2 max-pooling marker."""
+    """2x2 stride-2 max-pooling marker; parsed and kept, never executed."""
 
     name: str = "pool"
 
 
 @dataclass(frozen=True)
 class FcSpec:
-    """Fully-connected layer marker; weights are an (out, in) matrix."""
+    """Fully-connected layer marker; parsed and kept, never executed."""
 
     name: str
     in_features: int
@@ -144,33 +142,12 @@ class FcSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Ordered layers plus pooling/FC markers."""
+    """Ordered conv layers plus pooling/FC markers."""
 
     items: tuple
 
     def conv_layers(self) -> list[LayerSpec]:
         return [it for it in self.items if isinstance(it, LayerSpec)]
-
-    def chain_shapes(self, C: int, H: int, W: int) -> list[tuple[int, int, int]]:
-        """Propagate (C, H, W) through the network, validating adjacency."""
-        shapes = [(C, H, W)]
-        for it in self.items:
-            C, H, W = shapes[-1]
-            if isinstance(it, LayerSpec):
-                if (it.C, it.H, it.W) != (C, H, W):
-                    raise ValueError(
-                        f"{it.name}: expects {(it.C, it.H, it.W)}, got {(C, H, W)}"
-                    )
-                shapes.append((it.K, it.out_h, it.out_w))
-            elif isinstance(it, PoolSpec):
-                shapes.append((C, -(-H // 2), -(-W // 2)))
-            elif isinstance(it, FcSpec):
-                if C * H * W != it.in_features:
-                    raise ValueError(f"{it.name}: expects {it.in_features} inputs, got {C * H * W}")
-                shapes.append((it.out_features, 1, 1))
-            else:
-                raise TypeError(f"unknown network item {it!r}")
-        return shapes
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +294,8 @@ def block_matmul_sparse(
     exactly zero.
     """
     _check_matmul_operands(U.rows, U.cols, V.rows, V.cols, U.l, V.l)
-    mb = _next_pow2(-(-U.rows // U.l))
-    nb = _next_pow2(-(-U.cols // U.l))
+    mb = _block_extent(U.rows, U.l)
+    nb = _block_extent(U.cols, U.l)
     cc, aa, bb = matmul_trace(mb, nb, V.block_cols)
     present = np.isin(aa, U.bn)
     cc, aa, bb = cc[present], aa[present], bb[present]
@@ -356,6 +333,8 @@ def direct_conv(
     K, Cf, r, r2 = filters.shape
     if Cf != C or r != r2:
         raise ValueError("filter bank does not match the feature map")
+    if pad < 0:
+        raise ValueError("pad must be >= 0")
     oh = (H + 2 * pad - r) // stride + 1
     ow = (W + 2 * pad - r) // stride + 1
     if oh < 1 or ow < 1:
@@ -464,91 +443,6 @@ def compress_filters(filters, plan: WinogradPlan, target_sparsity: float):
     nnz = sum(enc.nnz for enc in encoded)
     achieved = 1.0 - nnz / total if total else 1.0
     return pruned, encoded, achieved
-
-
-# ---------------------------------------------------------------------------
-# auxiliary layers
-
-
-def fc_layer(x, W, counters: OpCounters | None = None) -> np.ndarray:
-    """W @ x through the block machinery (x widened to a one-column matrix)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("fc_layer expects a vector")
-    if isinstance(W, BcooMatrix):
-        if W.cols != len(x):
-            raise ValueError(f"weight cols {W.cols} != input length {len(x)}")
-        xz = to_zmorton(x[:, None], W.l)
-        prod = block_matmul_sparse(W, xz, counters=counters)
-    else:
-        if isinstance(W, np.ndarray):
-            W = to_zmorton(W, 4)
-        if W.cols != len(x):
-            raise ValueError(f"weight cols {W.cols} != input length {len(x)}")
-        xz = to_zmorton(x[:, None], W.l)
-        prod = recursive_matmul(W, xz, counters=counters)
-    return from_zmorton(prod)[:, 0]
-
-
-def relu(fm: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(fm, dtype=float), 0.0)
-
-
-def maxpool2(fm: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 max pooling; odd trailing rows/columns pool over what exists."""
-    fm = np.asarray(fm, dtype=float)
-    C, H, W = fm.shape
-    ph, pw = -(-H // 2), -(-W // 2)
-    padded = np.full((C, ph * 2, pw * 2), -np.inf)
-    padded[:, :H, :W] = fm
-    return padded.reshape(C, ph, 2, pw, 2).max(axis=(2, 4))
-
-
-def run_network(
-    net: NetworkSpec,
-    x: np.ndarray,
-    weights,
-    mode: str = "direct",
-    plan: WinogradPlan | None = None,
-    sparsity: float = 0.0,
-    relu_after_conv: bool = True,
-    counters: OpCounters | None = None,
-) -> np.ndarray:
-    """Execute a network layer by layer.
-
-    mode is one of "direct", "dense" (Winograd), "sparse" (Winograd with
-    magnitude-pruned weights at `sparsity`).  All modes agree when
-    sparsity is zero.
-    """
-    if mode not in ("direct", "dense", "sparse"):
-        raise ValueError(f"unknown mode {mode!r}")
-    x = np.asarray(x, dtype=float)
-    net.chain_shapes(x.shape[0], x.shape[1], x.shape[2])  # validates adjacency
-    for it in net.items:
-        if isinstance(it, LayerSpec):
-            w = np.asarray(weights[it.name], dtype=float)
-            if mode == "direct":
-                x = direct_conv(x, w, stride=it.stride, pad=it.pad, counters=counters)
-            else:
-                if plan is None:
-                    raise ValueError("winograd modes need a plan")
-                if it.stride != 1:
-                    raise ValueError(f"{it.name}: winograd path requires stride 1")
-                if mode == "dense":
-                    x = winograd_conv_dense(x, w, plan, pad=it.pad, counters=counters)
-                else:
-                    _, enc, _ = compress_filters(w, plan, sparsity)
-                    x = winograd_conv_sparse(x, enc, plan, pad=it.pad, counters=counters)
-            if relu_after_conv:
-                x = relu(x)
-        elif isinstance(it, PoolSpec):
-            x = maxpool2(x)
-        elif isinstance(it, FcSpec):
-            x = fc_layer(x.reshape(-1), to_zmorton(np.asarray(weights[it.name], dtype=float), 4), counters=counters)
-            x = x[:, None, None]
-        else:
-            raise TypeError(f"unknown network item {it!r}")
-    return x
 
 
 # ---------------------------------------------------------------------------

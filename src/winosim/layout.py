@@ -29,7 +29,6 @@ __all__ = [
     "transform_tiles",
     "TransformedBatch",
     "scatter_to_matrices",
-    "gather_from_matrices",
     "gather_filters",
     "assemble_output",
 ]
@@ -84,9 +83,11 @@ def _morton_encode_array(rows, cols) -> np.ndarray:
     return (_spread_bits(rows) << 1) | _spread_bits(cols)
 
 
-def _next_pow2(n: int) -> int:
+def _block_extent(n: int, l: int) -> int:
+    """Blocks of side l along an axis of n, rounded up to a power of two (1 when n = 0)."""
+    blocks = -(-n // l)
     p = 1
-    while p < n:
+    while p < blocks:
         p <<= 1
     return p
 
@@ -109,11 +110,11 @@ class ZMortonMatrix:
 
     @property
     def block_rows(self) -> int:
-        return _next_pow2(-(-self.rows // self.l))
+        return _block_extent(self.rows, self.l)
 
     @property
     def block_cols(self) -> int:
-        return _next_pow2(-(-self.cols // self.l))
+        return _block_extent(self.cols, self.l)
 
     @property
     def padded_rows(self) -> int:
@@ -139,8 +140,8 @@ def to_zmorton(dense, l: int) -> ZMortonMatrix:
         raise ValueError("block side must be >= 1")
     dense = np.asarray(dense, dtype=float)
     rows, cols = dense.shape
-    nbr = _next_pow2(-(-rows // l))
-    nbc = _next_pow2(-(-cols // l))
+    nbr = _block_extent(rows, l)
+    nbc = _block_extent(cols, l)
     padded = np.zeros((nbr * l, nbc * l))
     padded[:rows, :cols] = dense
     grid = padded.reshape(nbr, l, nbc, l).transpose(0, 2, 1, 3)
@@ -159,8 +160,8 @@ def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
 
 
 def zmorton_zeros(rows: int, cols: int, l: int) -> ZMortonMatrix:
-    nbr = _next_pow2(-(-rows // l))
-    nbc = _next_pow2(-(-cols // l))
+    nbr = _block_extent(rows, l)
+    nbc = _block_extent(cols, l)
     codes = _grid_codes(nbr, nbc)
     return ZMortonMatrix(
         rows=rows, cols=cols, l=l, block_codes=codes, blocks=np.zeros((len(codes), l, l))
@@ -230,22 +231,14 @@ def scatter_to_matrices(transformed_tiles: np.ndarray) -> TransformedBatch:
     return TransformedBatch(l=l, mats=[to_zmorton(v, l) for v in _input_stack(transformed_tiles)])
 
 
-def gather_from_matrices(batch: TransformedBatch, C: int, th: int, tw: int) -> np.ndarray:
-    """Inverse of scatter_to_matrices."""
-    l = batch.l
-    tiles = np.zeros((C, th, tw, l, l))
-    for i in range(l):
-        for j in range(l):
-            tiles[:, :, :, i, j] = from_zmorton(batch.at(i, j)).reshape(C, th, tw)
-    return tiles
-
-
 def _filter_stack(filters: np.ndarray, plan: WinogradPlan) -> np.ndarray:
     """Transform a (K, C, r, r) filter bank into an (l*l, K, C) stack."""
     filters = np.asarray(filters, dtype=float)
     K, C, r, r2 = filters.shape
     if r != plan.r or r2 != plan.r:
         raise ValueError(f"filter width {r}x{r2} != plan r={plan.r}")
+    if K < 1 or C < 1:
+        raise ValueError(f"filter bank needs K, C >= 1, got K={K}, C={C}")
     u = np.einsum("ab,kcbd,ed->aekc", plan.G, filters, plan.G)
     return u.reshape(plan.l * plan.l, K, C)
 

@@ -24,7 +24,7 @@ fixed point sequence 0, 1, -1, 2, -2, ... so results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +51,6 @@ class OpCounters:
     multiplies: int = 0
     matmul_additions: int = 0
     inverse_transforms: int = 0
-
-    def reset(self) -> None:
-        self.multiplies = 0
-        self.matmul_additions = 0
-        self.inverse_transforms = 0
 
 
 @dataclass

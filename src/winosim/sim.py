@@ -37,14 +37,13 @@ from .engine import (
     matmul_streams,
     recursive_matmul,
 )
-from .layout import ZMortonMatrix, _grid_codes, _next_pow2
+from .layout import ZMortonMatrix, _block_extent, _grid_codes
 from .plans import WinogradPlan
 
 __all__ = [
     "ArchConfig",
     "SimReport",
     "simulate_transform",
-    "transform_tiles_two_pass",
     "simulate_cluster_dense",
     "simulate_cluster_sparse",
     "simulate_layer",
@@ -101,7 +100,6 @@ class SimReport:
     operand_slots: int = 0
     steps_executed: int = 0
     decompress_stall_cycles: int = 0
-    transform_multiplications: int = 0
     transform_cycles: int = 0
     matmul_cycles: int = 0
     inverse_cycles: int = 0
@@ -140,20 +138,7 @@ def simulate_transform(tile_count: int, cfg: ArchConfig) -> SimReport:
     return SimReport(
         total_cycles=max(busy) if busy else 0,
         busy_cycles=busy,
-        transform_multiplications=0,
     )
-
-
-def transform_tiles_two_pass(plan: WinogradPlan, tiles: np.ndarray) -> np.ndarray:
-    """Functional two-pass transform.
-
-    Pass 1 streams D^T against the stationary matrix and emits the result
-    transposed, i.e. the value Bt . D; pass 2 feeds that back and appends
-    the trailing . B.  The composition equals transform_input_tile for
-    every tile.
-    """
-    pass1 = plan.Bt @ tiles
-    return pass1 @ plan.Bt.T
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +267,8 @@ def simulate_cluster_sparse(
     U.validate()
     if U.cols != V.rows:
         raise ValueError(f"inner dimensions differ: {U.cols} vs {V.rows}")
-    mb = _next_pow2(-(-U.rows // U.l))
-    nb = _next_pow2(-(-U.cols // U.l))
+    mb = _block_extent(U.rows, U.l)
+    nb = _block_extent(U.cols, U.l)
     streams = matmul_streams(mb, nb, V.block_cols)
     report = _run_cluster_schedule(streams, cfg, (U.bn, np.diff(U.bi)), collect_steps)
     return report, block_matmul_sparse(U, V)
@@ -344,9 +329,9 @@ def simulate_layer(
     l = plan.l
     th, tw = layer.tile_counts(plan.m)
     P = th * tw
-    mb = _next_pow2(-(-layer.K // l))
-    nb = _next_pow2(-(-layer.C // l))
-    pb = _next_pow2(-(-P // l))
+    mb = _block_extent(layer.K, l)
+    nb = _block_extent(layer.C, l)
+    pb = _block_extent(P, l)
     streams = matmul_streams(mb, nb, pb)
 
     if sparsity > 0.0:

@@ -13,7 +13,6 @@ from winosim.bcoo import (
     bcoo_encode,
     bcoo_from_bytes,
     bcoo_to_bytes,
-    iter_nonzero_blocks,
     load_bcoo,
     prune,
     save_bcoo,
@@ -100,18 +99,6 @@ def test_decode_rejects_duplicate_position():
     )
     with pytest.raises(BcooFormatError):
         bcoo_decode(bad)
-
-
-def test_iter_nonzero_blocks_order():
-    m = np.zeros((8, 8))
-    m[4, 0] = 1.0  # block (1, 0) -> morton 2
-    m[0, 4] = 2.0  # block (0, 1) -> morton 1
-    enc = bcoo_encode(to_zmorton(m, 4))
-    items = list(iter_nonzero_blocks(enc))
-    assert [code for code, _ in items] == [1, 2]
-    assert items[0][1][0, 0] == 2.0
-    assert items[1][1][0, 0] == 1.0
-    assert list(iter_nonzero_blocks(bcoo_encode(to_zmorton(np.zeros((8, 8)), 4)))) == []
 
 
 def _batch_of(mat):

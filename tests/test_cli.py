@@ -124,6 +124,33 @@ def test_dse_m_sweep(tmp_path):
     assert lines[2].split(",")[1] == "4"
 
 
+@pytest.mark.parametrize("command", ["simulate", "dse"])
+@pytest.mark.parametrize("layer", ["conv a 1 1 2 2 3 0", "conv a 8 8 2 2 3 -1"])
+def test_unpriceable_layer_rejected_with_line_number(tmp_path, capsys, command, layer):
+    spec = tmp_path / "net.cfg"
+    spec.write_text("conv ok 8 8 2 2 3 1\n" + layer + "\n")
+    out = tmp_path / "o.csv"
+    assert run_cli([command, "--spec", str(spec), "--out", str(out)]) == 1
+    assert "network config line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compress", "--k", "0"],
+        ["compress", "--c", "0"],
+        ["convolve", "--mode", "dense", "--k", "0"],
+        ["convolve", "--mode", "sparse", "--k", "0"],
+    ],
+)
+def test_empty_filter_bank_rejected(tmp_path, capsys, args):
+    out = tmp_path / "o"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert "filter bank" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_shape_rejected():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["verify", "--shape", "banana"])

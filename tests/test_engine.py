@@ -8,21 +8,14 @@ import hypothesis.strategies as st
 
 from winosim.bcoo import bcoo_decode, bcoo_encode
 from winosim.engine import (
-    FcSpec,
     LayerSpec,
-    NetworkSpec,
-    PoolSpec,
     block_matmul_sparse,
     compress_filters,
     direct_conv,
-    fc_layer,
     load_tensor,
     matmul_streams,
     matmul_trace,
-    maxpool2,
     recursive_matmul,
-    relu,
-    run_network,
     save_tensor,
     tensor_from_bytes,
     tensor_to_bytes,
@@ -394,109 +387,6 @@ def test_sparse_conv_matches_block_engine_and_its_counters(m, C, H, W, K, pad):
 
 
 # ---------------------------------------------------------------------------
-# auxiliary layers
-
-
-def test_fc_identity_and_oracle():
-    x = np.arange(8.0)
-    assert np.allclose(fc_layer(x, to_zmorton(np.eye(8), 4)), x, rtol=0, atol=1e-15)
-    rng = np.random.default_rng(14)
-    W = rng.uniform(-1, 1, (8, 8))
-    want = np.array([np.dot(W[i], x) for i in range(8)])
-    assert _rel_err(fc_layer(x, to_zmorton(W, 4)), want) <= 1e-12
-
-
-def test_fc_bcoo_consistency():
-    rng = np.random.default_rng(15)
-    W = rng.uniform(-1, 1, (12, 8))
-    W[np.abs(W) < 0.5] = 0.0
-    x = rng.uniform(-1, 1, 8)
-    enc = bcoo_encode(to_zmorton(W, 4))
-    assert np.array_equal(fc_layer(x, enc), fc_layer(x, bcoo_decode(enc)))
-
-
-def test_relu():
-    assert np.array_equal(relu(np.array([[[-1.0, 2.0]]])), [[[0.0, 2.0]]])
-
-
-def test_maxpool2_basic_and_odd():
-    assert maxpool2(np.array([[[1.0, 2.0], [3.0, 4.0]]]))[0, 0, 0] == 4.0
-    ramp = np.arange(16.0).reshape(1, 4, 4)
-    got = maxpool2(ramp)
-    want = np.array([[[5.0, 7.0], [13.0, 15.0]]])
-    assert np.array_equal(got, want)
-    # odd extents: missing positions are ignored
-    odd = np.arange(9.0).reshape(1, 3, 3)
-    assert np.array_equal(maxpool2(odd), [[[4.0, 5.0], [7.0, 8.0]]])
-
-
-# ---------------------------------------------------------------------------
-# networks
-
-
-def _toy_net():
-    return NetworkSpec(
-        items=(
-            LayerSpec("c1", H=8, W=8, C=2, K=4, r=3, pad=1),
-            PoolSpec(),
-            LayerSpec("c2", H=4, W=4, C=4, K=3, r=3, pad=1),
-            LayerSpec("c3", H=4, W=4, C=3, K=2, r=3, pad=1),
-        )
-    )
-
-
-def _toy_weights(rng):
-    return {
-        "c1": rng.uniform(-1, 1, (4, 2, 3, 3)),
-        "c2": rng.uniform(-1, 1, (3, 4, 3, 3)),
-        "c3": rng.uniform(-1, 1, (2, 3, 3, 3)),
-    }
-
-
-def test_single_layer_network_equals_layer_op(plan):
-    rng = np.random.default_rng(16)
-    net = NetworkSpec(items=(LayerSpec("c", H=6, W=6, C=2, K=2, r=3, pad=1),))
-    w = {"c": rng.uniform(-1, 1, (2, 2, 3, 3))}
-    x = rng.uniform(-1, 1, (2, 6, 6))
-    got = run_network(net, x, w, "direct", relu_after_conv=False)
-    assert np.array_equal(got, direct_conv(x, w["c"], pad=1))
-
-
-def test_network_modes_agree(plan):
-    rng = np.random.default_rng(17)
-    net = _toy_net()
-    w = _toy_weights(rng)
-    x = rng.uniform(-1, 1, (2, 8, 8))
-    y_direct = run_network(net, x, w, "direct")
-    y_dense = run_network(net, x, w, "dense", plan=plan)
-    y_sparse = run_network(net, x, w, "sparse", plan=plan, sparsity=0.0)
-    assert _rel_err(y_dense, y_direct) <= 1e-9
-    assert _rel_err(y_sparse, y_direct) <= 1e-9
-
-
-def test_network_chain_validation():
-    net = _toy_net()
-    with pytest.raises(ValueError):
-        net.chain_shapes(3, 8, 8)  # wrong channel count
-    shapes = net.chain_shapes(2, 8, 8)
-    assert shapes[-1] == (2, 4, 4)
-
-
-def test_network_with_fc(plan):
-    rng = np.random.default_rng(18)
-    net = NetworkSpec(
-        items=(
-            LayerSpec("c1", H=4, W=4, C=1, K=2, r=3, pad=1),
-            FcSpec("f1", 2 * 4 * 4, 3),
-        )
-    )
-    w = {"c1": rng.uniform(-1, 1, (2, 1, 3, 3)), "f1": rng.uniform(-1, 1, (3, 32))}
-    x = rng.uniform(-1, 1, (1, 4, 4))
-    y = run_network(net, x, w, "direct")
-    assert y.shape == (3, 1, 1)
-
-
-# ---------------------------------------------------------------------------
 # layer spec validation and tensor container
 
 
@@ -505,6 +395,18 @@ def test_layer_spec_validation():
         LayerSpec("bad", H=4, W=4, C=1, K=1, r=4)
     with pytest.raises(ValueError):
         LayerSpec("bad", H=0, W=4, C=1, K=1)
+
+
+def test_layer_spec_rejects_unpriceable_geometry():
+    with pytest.raises(ValueError, match="pad must be >= 0"):
+        LayerSpec("neg", H=8, W=8, C=2, K=2, r=3, pad=-1)
+    with pytest.raises(ValueError, match="non-positive output extent"):
+        LayerSpec("empty", H=1, W=1, C=2, K=2, r=3, pad=0)  # output extent -1
+
+
+def test_direct_conv_rejects_negative_pad():
+    with pytest.raises(ValueError, match="pad must be >= 0"):
+        direct_conv(np.ones((1, 6, 6)), np.ones((1, 1, 3, 3)), pad=-1)
 
 
 def test_tensor_container_round_trip(tmp_path):

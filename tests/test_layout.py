@@ -4,11 +4,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from winosim.layout import (
+    _block_extent,
     assemble_output,
     extract_tiles,
     from_zmorton,
     gather_filters,
-    gather_from_matrices,
     morton_decode,
     morton_encode,
     scatter_to_matrices,
@@ -137,13 +137,15 @@ def test_extract_tiles_reconstructs_covered_region(plan):
     assert np.array_equal(rebuilt, padded[:, : th * m, : tw * m])
 
 
-def test_scatter_gather_round_trip(plan):
-    rng = np.random.default_rng(3)
-    tiles = rng.uniform(-1, 1, (2, 2, 2, 4, 4))
-    batch = scatter_to_matrices(tiles)
-    assert len(batch.mats) == 16
-    assert all(mat.rows == 2 and mat.cols == 4 for mat in batch)
-    assert np.array_equal(gather_from_matrices(batch, 2, 2, 2), tiles)
+def test_block_extent_rounds_block_count_up_to_power_of_two():
+    got = [_block_extent(n, 4) for n in (0, 1, 4, 5, 12, 13, 16, 17)]
+    assert got == [1, 1, 1, 2, 4, 4, 4, 8]
+
+
+def test_filter_stack_rejects_empty_bank(plan):
+    for shape in ((0, 2, 3, 3), (2, 0, 3, 3)):
+        with pytest.raises(ValueError, match="K, C >= 1"):
+            gather_filters(np.zeros(shape), plan)
 
 
 def test_scatter_entry_placement(plan):

@@ -155,11 +155,27 @@ def test_volume_monotonicity_in_m():
         assert all(a <= b for a, b in zip(wk, wk[1:]))
 
 
+def _conv_chain_end(net, channels):
+    """(K, out_h, out_w) of the last conv, asserting each conv takes the previous one's output.
+
+    A pool marker between two convs halves the extents, rounding up.
+    """
+    extents = None
+    for it in net.items:
+        if isinstance(it, LayerSpec):
+            assert it.C == channels
+            assert extents is None or (it.H, it.W) == extents
+            channels, extents = it.K, (it.out_h, it.out_w)
+        else:
+            extents = tuple(-(-v // 2) for v in extents)
+    return (channels, *extents)
+
+
 def test_vgg16_chain():
     net = vgg16_spec()
-    shapes = net.chain_shapes(3, 224, 224)
-    assert shapes[0] == (3, 224, 224)
-    assert shapes[-1] == (512, 7, 7)
+    first = net.conv_layers()[0]
+    assert (first.C, first.H, first.W) == (3, 224, 224)
+    assert _conv_chain_end(net, 3) == (512, 7, 7)
     assert len(net.conv_layers()) == 18
 
 
@@ -243,5 +259,5 @@ def test_scale_network():
     net = scale_network(vgg16_spec(), 16)
     first = net.conv_layers()[0]
     assert first.H == 14 and first.K == 4
-    # chain still validates after uniform scaling
-    net.chain_shapes(1, 14, 14)
+    # the chain still connects after uniform scaling
+    _conv_chain_end(net, 1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from winosim.bcoo import bcoo_encode
 from winosim.engine import LayerSpec, recursive_matmul
 from winosim.layout import from_zmorton, to_zmorton
-from winosim.plans import make_plan, transform_input_tile
+from winosim.plans import make_plan
 from winosim.sim import (
     ArchConfig,
     simulate_cluster_dense,
@@ -17,7 +17,6 @@ from winosim.sim import (
     simulate_transform,
     sim_csv_header,
     sim_csv_row,
-    transform_tiles_two_pass,
 )
 from winosim.sim import _fifo_misses
 
@@ -77,7 +76,6 @@ def test_transform_zero_tiles(cfg):
 def test_transform_one_tile_cost(cfg):
     rep = simulate_transform(1, cfg)
     assert rep.total_cycles == 2 * (4 + 6)  # two passes of l + 2(l-1)
-    assert rep.transform_multiplications == 0
 
 
 def test_transform_pipeline_and_distribution(cfg):
@@ -85,14 +83,6 @@ def test_transform_pipeline_and_distribution(cfg):
     assert rep.total_cycles == 2 * (10 + 2 * 4)
     assert max(rep.busy_cycles) == rep.total_cycles
     assert all(b <= rep.total_cycles for b in rep.busy_cycles)
-
-
-def test_two_pass_transform_matches_direct(plan):
-    rng = np.random.default_rng(0)
-    tiles = rng.uniform(-1, 1, (7, 4, 4))
-    got = transform_tiles_two_pass(plan, tiles)
-    for i in range(7):
-        assert np.array_equal(got[i], transform_input_tile(plan, tiles[i]))
 
 
 # ---------------------------------------------------------------------------
