@@ -333,6 +333,8 @@ def direct_conv(
     K, Cf, r, r2 = filters.shape
     if Cf != C or r != r2:
         raise ValueError("filter bank does not match the feature map")
+    if K < 1:
+        raise ValueError(f"filter bank needs K >= 1, got K={K}")
     if pad < 0:
         raise ValueError("pad must be >= 0")
     oh = (H + 2 * pad - r) // stride + 1

@@ -13,6 +13,7 @@ of two; padding never leaks into logical reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,9 +130,13 @@ class ZMortonMatrix:
         return np.searchsorted(self.block_codes, codes)
 
 
+@lru_cache(maxsize=64)
 def _grid_codes(block_rows: int, block_cols: int) -> np.ndarray:
+    """Sorted Morton codes of a block grid; read-only, as the cache shares it."""
     rr, cc = np.meshgrid(np.arange(block_rows), np.arange(block_cols), indexing="ij")
-    return np.sort(_morton_encode_array(rr.ravel(), cc.ravel()))
+    codes = np.sort(_morton_encode_array(rr.ravel(), cc.ravel()))
+    codes.setflags(write=False)
+    return codes
 
 
 def to_zmorton(dense, l: int) -> ZMortonMatrix:

@@ -21,12 +21,15 @@ blocks deep) and the feature-map FIFO is split into two half-depth FIFOs,
 one per output-column group.
 
 Everything is cycle-deterministic: identical inputs and configuration
-produce identical reports.
+produce identical reports.  simulate_layer therefore memoizes a layer's
+report on its geometry (K, C, tile count), the ArchConfig, sparsity and
+seed, so `simulate` and `dse` price repeated layer geometries once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArchConfig:
     """Architecture geometry.
 
@@ -165,18 +168,6 @@ def _fifo_misses(keys: list, capacity: int) -> np.ndarray:
     return np.array(out, dtype=bool)
 
 
-def _accesses(codes: np.ndarray, active: np.ndarray):
-    """One buffer's access sequence from (streams, steps) codes and activity.
-
-    Returns the distinct (step, code) pairs' codes, step-major with codes
-    ascending, and the number of distinct codes at each step.
-    """
-    grid = np.sort(np.where(active, codes, -1), axis=0)
-    keep = grid >= 0
-    keep[1:] &= grid[1:] != grid[:-1]
-    return grid.T[keep.T], keep.sum(axis=0)
-
-
 def _run_cluster_schedule(
     streams, cfg: ArchConfig, weights=None, collect_steps: bool = False
 ) -> SimReport:
@@ -186,36 +177,39 @@ def _run_cluster_schedule(
     codes, their nonzero counts) for the sparse one: only operations on a
     present weight run, weight misses pass the decompressor and the
     feature-map FIFO splits into one half-depth FIFO per column group.
+
+    Streams are row-half major.  The streams of one row half share their
+    weight codes (and so their activity), those of one column half their
+    feature-map codes, and at every step half 0's code lies below half
+    1's, so each step's distinct ascending codes need no sort.
     """
     issue = cfg.cycles_per_block_matmul_issue
-    a = np.stack([s.a for s in streams])
-    b = np.stack([s.b for s in streams])
+    n_col_halves = 1 + max(s.col_half for s in streams)
+    a = np.stack([s.a for s in streams[::n_col_halves]])
+    b = np.stack([s.b for s in streams[:n_col_halves]])
     if weights is None:
-        active = np.ones(a.shape, dtype=bool)
-        fm_fifos = [(slice(None), cfg.fifo_depth)]
+        act = np.ones(a.shape, dtype=bool)
+        fm_seq, fm_depth, fm_fifos = b.T.ravel(), cfg.fifo_depth, 1
     else:
         present, nnz = weights
-        active = np.isin(a, present)
-        halves = [s.col_half for s in streams]
-        fm_fifos = [
-            ([q for q, g in enumerate(halves) if g == h], cfg.fifo_depth // 2) for h in set(halves)
-        ]
+        # A sentinel past the last code: codes are >= 0, so a code not present never matches.
+        act = np.append(present, -1)[np.searchsorted(present, a)] == a
+        # Both column-half FIFOs see one mask, and their codes differ by one
+        # constant Morton bit, so they miss alike: replay one, count it per half.
+        fm_seq, fm_depth, fm_fifos = b[0][act.any(axis=0)], cfg.fifo_depth // 2, n_col_halves
 
-    seq, distinct = _accesses(a, active)
+    seq = a.T[act.T]
     a_missed = seq[_fifo_misses(seq.tolist(), cfg.fifo_depth)]
-    ext = len(a_missed)
-    for rows, depth in fm_fifos:
-        seq, per_step = _accesses(b[rows], active[rows])
-        ext += int(_fifo_misses(seq.tolist(), depth).sum())
-        distinct = distinct + per_step
+    ext = len(a_missed) + fm_fifos * int(_fifo_misses(fm_seq.tolist(), fm_depth).sum())
 
-    n_active = active.sum(axis=0)
-    ran = n_active > 0
+    rows_active = act.sum(axis=0)
+    ran = rows_active > 0
+    n_active = n_col_halves * rows_active
     steps = int(ran.sum())
     macs = int(n_active.sum())
     slots = 2 * macs
     busy = [0] * 4
-    busy[: len(streams)] = (issue * active.sum(axis=1)).tolist()
+    busy[: len(streams)] = np.repeat(issue * act.sum(axis=1), n_col_halves).tolist()
 
     compute = steps * issue
     stall = 0
@@ -237,7 +231,7 @@ def _run_cluster_schedule(
         decompress_stall_cycles=stall,
         matmul_cycles=total,
         step_slots=(2 * n_active[ran]).tolist() if collect_steps else None,
-        step_distinct=distinct[ran].tolist() if collect_steps else None,
+        step_distinct=(rows_active + n_col_halves)[ran].tolist() if collect_steps else None,
     )
 
 
@@ -318,7 +312,8 @@ def simulate_layer(
     blocks (deterministic seeded choice, nested across sparsities) and
     surviving blocks carry the element-wise-pruning nonzero estimate of
     _synthetic_block_nnz; at zero sparsity the dense datapath (no
-    decompressors) is modelled.
+    decompressors) is modelled.  Layers of one geometry share a memoized
+    report; each call gets its own copy.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError("sparsity must lie in [0, 1]")
@@ -326,11 +321,23 @@ def simulate_layer(
         raise ValueError(f"architecture block side {cfg.l} != plan l={plan.l}")
     if plan.r != layer.r:
         raise ValueError(f"{layer.name}: filter width {layer.r} != plan r={plan.r}")
-    l = plan.l
     th, tw = layer.tile_counts(plan.m)
-    P = th * tw
-    mb = _block_extent(layer.K, l)
-    nb = _block_extent(layer.C, l)
+    rep = _simulate_geometry(layer.K, layer.C, th * tw, cfg, sparsity, seed)
+    return replace(rep, busy_cycles=list(rep.busy_cycles))
+
+
+@lru_cache(maxsize=256)
+def _simulate_geometry(
+    K: int, C: int, P: int, cfg: ArchConfig, sparsity: float, seed: int
+) -> SimReport:
+    """simulate_layer's report for K filters, C channels and P = th*tw tiles.
+
+    The report depends on nothing else of the layer: not its name, and not
+    H and W beyond P.  Callers get a copy, so the memo is never aliased.
+    """
+    l = cfg.l
+    mb = _block_extent(K, l)
+    nb = _block_extent(C, l)
     pb = _block_extent(P, l)
     streams = matmul_streams(mb, nb, pb)
 
@@ -362,8 +369,8 @@ def simulate_layer(
         stall += rep.decompress_stall_cycles
 
     matmul_stage = max(cluster_cycles)
-    t_in = simulate_transform(layer.C * P, cfg)
-    t_out = simulate_transform(layer.K * P, cfg)
+    t_in = simulate_transform(C * P, cfg)
+    t_out = simulate_transform(K * P, cfg)
     return SimReport(
         total_cycles=t_in.total_cycles + matmul_stage + t_out.total_cycles,
         external_block_fetches=ext,

@@ -151,6 +151,13 @@ def test_empty_filter_bank_rejected(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_direct_convolve_rejects_empty_filter_bank(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(["convolve", "--mode", "direct", "--k", "0", "--out", str(out)]) == 1
+    assert "filter bank" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_shape_rejected():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["verify", "--shape", "banana"])

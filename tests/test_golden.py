@@ -65,9 +65,15 @@ def _sha256(data: bytes) -> str:
              "--sparsities", "0,0.5,1", "--no-sim"],
             "f2dc78a5a57749747a190aad70dbeaf788507aa5adfd2de5a0739769e5b2313f",
         ),
+        (
+            ["dse", "--spec", "vgg16", "--scale", "8", "--m-values", "2,3",
+             "--sparsities", "0.3,0.9", "--seed", "7", "--clusters", "3"],
+            "b969dfd586fc3e4f4c1ecdb85d5d84ab981d960df9ca16f1cd8b297a32830f06",
+        ),
     ],
     ids=["simulate-dense", "simulate-sparse", "dse", "simulate-fifo1", "simulate-fifo1-sparse",
-         "simulate-fifo3-clusters3-sparse", "dse-m3-fifo2", "dse-corrected-adds", "dse-no-sim"],
+         "simulate-fifo3-clusters3-sparse", "dse-m3-fifo2", "dse-corrected-adds", "dse-no-sim",
+         "dse-seed7-clusters3"],
 )
 def test_cli_csv_digest(tmp_path, argv, digest):
     out = tmp_path / "out.csv"

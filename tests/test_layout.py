@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from winosim.layout import (
     _block_extent,
+    _grid_codes,
     assemble_output,
     extract_tiles,
     from_zmorton,
@@ -140,6 +141,17 @@ def test_extract_tiles_reconstructs_covered_region(plan):
 def test_block_extent_rounds_block_count_up_to_power_of_two():
     got = [_block_extent(n, 4) for n in (0, 1, 4, 5, 12, 13, 16, 17)]
     assert got == [1, 1, 1, 2, 4, 4, 4, 8]
+
+
+def test_grid_codes_shared_read_only():
+    codes = _grid_codes(2, 4)
+    assert codes is _grid_codes(2, 4)
+    assert not codes.flags.writeable
+    with pytest.raises(ValueError):
+        codes[0] = 7
+    # a matrix built on the shared codes reads them, never writes
+    zm = to_zmorton(np.ones((8, 16)), 4)
+    assert zm.block_codes.tolist() == codes.tolist() == sorted(codes.tolist())
 
 
 def test_filter_stack_rejects_empty_bank(plan):

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import deque
 
 import hypothesis.strategies as st
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from winosim.bcoo import bcoo_encode
-from winosim.engine import LayerSpec, recursive_matmul
-from winosim.layout import from_zmorton, to_zmorton
+from winosim.engine import LayerSpec, matmul_streams, recursive_matmul
+from winosim.layout import _grid_codes, from_zmorton, to_zmorton
 from winosim.plans import make_plan
 from winosim.sim import (
     ArchConfig,
+    SimReport,
     simulate_cluster_dense,
     simulate_cluster_sparse,
     simulate_layer,
@@ -18,7 +20,7 @@ from winosim.sim import (
     sim_csv_header,
     sim_csv_row,
 )
-from winosim.sim import _fifo_misses
+from winosim.sim import _fifo_misses, _run_cluster_schedule
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +63,118 @@ def test_fifo_misses_matches_reference_fifo(keys, capacity):
     got = _fifo_misses(keys, capacity)
     assert got.dtype == bool
     assert got.tolist() == _reference_fifo_misses(keys, capacity)
+
+
+# ---------------------------------------------------------------------------
+# access sequences: the sort-based construction, kept as the reference
+
+
+def _accesses(codes: np.ndarray, active: np.ndarray):
+    """One buffer's access sequence from (streams, steps) codes and activity.
+
+    Returns the distinct (step, code) pairs' codes, step-major with codes
+    ascending, and the number of distinct codes at each step.
+    """
+    grid = np.sort(np.where(active, codes, -1), axis=0)
+    keep = grid >= 0
+    keep[1:] &= grid[1:] != grid[:-1]
+    return grid.T[keep.T], keep.sum(axis=0)
+
+
+def _reference_run_cluster_schedule(
+    streams, cfg: ArchConfig, weights=None, collect_steps: bool = False
+) -> SimReport:
+    """Replay the lockstep streams through the cluster's operand FIFOs.
+
+    `weights` is None for the dense datapath, or (ascending present weight
+    codes, their nonzero counts) for the sparse one: only operations on a
+    present weight run, weight misses pass the decompressor and the
+    feature-map FIFO splits into one half-depth FIFO per column group.
+    """
+    issue = cfg.cycles_per_block_matmul_issue
+    a = np.stack([s.a for s in streams])
+    b = np.stack([s.b for s in streams])
+    if weights is None:
+        active = np.ones(a.shape, dtype=bool)
+        fm_fifos = [(slice(None), cfg.fifo_depth)]
+    else:
+        present, nnz = weights
+        active = np.isin(a, present)
+        halves = [s.col_half for s in streams]
+        fm_fifos = [
+            ([q for q, g in enumerate(halves) if g == h], cfg.fifo_depth // 2) for h in set(halves)
+        ]
+
+    seq, distinct = _accesses(a, active)
+    a_missed = seq[_fifo_misses(seq.tolist(), cfg.fifo_depth)]
+    ext = len(a_missed)
+    for rows, depth in fm_fifos:
+        seq, per_step = _accesses(b[rows], active[rows])
+        ext += int(_fifo_misses(seq.tolist(), depth).sum())
+        distinct = distinct + per_step
+
+    n_active = active.sum(axis=0)
+    ran = n_active > 0
+    steps = int(ran.sum())
+    macs = int(n_active.sum())
+    slots = 2 * macs
+    busy = [0] * 4
+    busy[: len(streams)] = (issue * active.sum(axis=1)).tolist()
+
+    compute = steps * issue
+    stall = 0
+    if weights is not None:
+        decomp = int(nnz[np.searchsorted(present, a_missed)].sum())
+        decomp *= cfg.decompress_cycles_per_nnz
+        stall = max(0, decomp - compute) if cfg.fifo_depth >= 2 else decomp
+    total = cfg.pipeline_fill + compute + stall if macs else 0
+
+    return SimReport(
+        total_cycles=total,
+        external_block_fetches=ext,
+        local_block_fetches=slots - ext,
+        block_matmuls_executed=macs,
+        busy_cycles=busy,
+        bandwidth_reduction_factor=slots / ext if ext else 1.0,
+        operand_slots=slots,
+        steps_executed=steps,
+        decompress_stall_cycles=stall,
+        matmul_cycles=total,
+        step_slots=(2 * n_active[ran]).tolist() if collect_steps else None,
+        step_distinct=distinct[ran].tolist() if collect_steps else None,
+    )
+
+
+_POW2 = st.sampled_from([1, 2, 4, 8, 16])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    extents=st.tuples(_POW2, _POW2, _POW2),
+    fifo_depth=st.integers(1, 5),
+    sparse=st.booleans(),
+    data=st.data(),
+)
+def test_cluster_schedule_matches_sort_based_reference(extents, fifo_depth, sparse, data):
+    streams = matmul_streams(*extents)
+    cfg = ArchConfig(fifo_depth=fifo_depth)
+    weights = None
+    if sparse:
+        grid = _grid_codes(*extents[:2])
+        n = len(grid)
+        keep = data.draw(
+            st.one_of(
+                st.just([False] * n),
+                st.just([True] * n),
+                st.lists(st.booleans(), min_size=n, max_size=n),
+            )
+        )
+        present = grid[np.array(keep, dtype=bool)]
+        nnz = data.draw(st.lists(st.integers(1, 16), min_size=len(present), max_size=len(present)))
+        weights = (present, np.array(nnz, dtype=np.int64))
+    got = _run_cluster_schedule(streams, cfg, weights, collect_steps=True)
+    want = _reference_run_cluster_schedule(streams, cfg, weights, collect_steps=True)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +367,28 @@ def test_layer_rejects_plan_for_other_filter_width():
     layer = LayerSpec("t", H=8, W=8, C=4, K=4, r=3, pad=1)
     with pytest.raises(ValueError, match="filter width"):
         simulate_layer(layer, make_plan(2, 5), ArchConfig(l=6))
+
+
+def test_layer_memo_keys_on_config_seed_and_geometry(plan, cfg):
+    layer = LayerSpec("a", H=8, W=8, C=16, K=16, r=3, pad=1)
+    base = simulate_layer(layer, plan, cfg, 0.7, seed=1)
+    assert simulate_layer(layer, plan, ArchConfig(fifo_depth=2), 0.7, seed=1) != base
+    assert simulate_layer(layer, plan, cfg, 0.7, seed=2) != base
+    # another name, and H, W giving the same 16 tiles: the same report
+    for other in (LayerSpec("b", H=8, W=8, C=16, K=16, r=3, pad=1),
+                  LayerSpec("c", H=4, W=16, C=16, K=16, r=3, pad=1)):
+        assert simulate_layer(other, plan, cfg, 0.7, seed=1) == base
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.fifo_depth = 2
+
+
+def test_layer_report_does_not_alias_memo(plan, cfg):
+    layer = LayerSpec("t", H=8, W=8, C=16, K=16, r=3, pad=1)
+    first = simulate_layer(layer, plan, cfg, 0.7, seed=1)
+    want = dataclasses.replace(first, busy_cycles=list(first.busy_cycles))
+    first.busy_cycles[0] += 1
+    first.busy_cycles.append(5)
+    assert simulate_layer(layer, plan, cfg, 0.7, seed=1) == want
 
 
 def test_layer_determinism(plan, cfg):
