@@ -24,8 +24,8 @@ from .layout import (
     ZMortonMatrix,
     _block_extent,
     _compact_bits,
-    _morton_encode_array,
     from_zmorton,
+    morton_encode,
     to_zmorton,
     zmorton_zeros,
 )
@@ -75,7 +75,12 @@ class BcooMatrix:
         return stack
 
     def validate(self) -> None:
-        l = self.l
+        """Raise BcooFormatError unless the record is a well-formed BCOO matrix."""
+        self._nonzero_blocks()
+
+    def _nonzero_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Validate; return the block row and block column of every nonzero."""
+        l = int(self.l)
         nbr = _block_extent(self.rows, l)
         nbc = _block_extent(self.cols, l)
         if max(nbr, nbc) > _AXIS_LIMIT:
@@ -86,19 +91,18 @@ class BcooMatrix:
             raise BcooFormatError("BI[0] must be 0")
         if len(self.bn) == 0 and list(self.bi) != [0]:
             raise BcooFormatError("empty matrix must have BI == [0]")
-        if np.any(np.diff(self.bi) < 0):
+        counts = np.diff(self.bi)
+        if np.any(counts < 0):
             raise BcooFormatError("BI must be non-decreasing")
-        if np.any(np.diff(self.bi) == 0):
+        if np.any(counts == 0):
             raise BcooFormatError("BN lists a block with no nonzeros")
         if self.bi[-1] != len(self.an) or len(self.ai) != len(self.an) or len(self.aj) != len(self.an):
             raise BcooFormatError("AI/AJ/AN lengths disagree with BI")
         if len(self.bn) and np.any(np.diff(self.bn) <= 0):
             raise BcooFormatError("BN must be strictly ascending")
-        # Decoding drops bits past the axis width, so a code is in the grid
-        # only if its decoded coordinates are and encode back to it.
-        brow, bcol = _compact_bits(self.bn >> 1), _compact_bits(self.bn)
-        in_grid = (brow < nbr) & (bcol < nbc) & (_morton_encode_array(brow, bcol) == self.bn)
-        if not np.all(in_grid):
+        # Both grid extents are powers of two, so a code names a grid block
+        # exactly when it sets no bit outside the code of the last block.
+        if np.any(self.bn & ~morton_encode(nbr - 1, nbc - 1)):
             raise BcooFormatError("BN contains a block number outside the grid")
         if np.any((self.ai < 0) | (self.ai >= l)):
             raise BcooFormatError("AI entry outside [0, l)")
@@ -106,15 +110,24 @@ class BcooMatrix:
             raise BcooFormatError("AJ entry outside [0, l)")
         if np.any(self.an == 0.0):
             raise BcooFormatError("AN stores an explicit zero")
-        owner = self.owners()
+        owner = np.repeat(np.arange(len(self.bn)), counts)
+        brow = _compact_bits(self.bn >> 1)[owner]
+        bcol = _compact_bits(self.bn)[owner]
         # brow * l + ai < rows, rearranged so that it cannot overflow int64
-        outside_rows = brow[owner] > (self.rows - 1 - self.ai) // l
-        outside_cols = bcol[owner] > (self.cols - 1 - self.aj) // l
+        outside_rows = brow > (self.rows - 1 - self.ai) // l
+        outside_cols = bcol > (self.cols - 1 - self.aj) // l
         if np.any(outside_rows | outside_cols):
             raise BcooFormatError("nonzero outside the logical matrix")
-        keys = np.stack((owner, self.ai, self.aj))[:, np.lexsort((self.aj, self.ai, owner))]
-        if np.any(np.all(np.diff(keys) == 0, axis=0)):
+        if len(self.bn) * l * l <= 1 << 63:
+            # (owner, ai, aj) as one mixed-radix key, below len(bn) * l * l
+            keys = np.sort((owner * l + self.ai) * l + self.aj)
+            duplicate = np.any(keys[1:] == keys[:-1])
+        else:
+            keys = np.stack((owner, self.ai, self.aj))[:, np.lexsort((self.aj, self.ai, owner))]
+            duplicate = np.any(np.all(np.diff(keys) == 0, axis=0))
+        if duplicate:
             raise BcooFormatError("duplicate (AI, AJ) pair within a block")
+        return brow, bcol
 
 
 def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
@@ -142,22 +155,45 @@ def bcoo_decode(b: BcooMatrix) -> ZMortonMatrix:
     return zm
 
 
+def _decode_dense(b: BcooMatrix, out: np.ndarray) -> None:
+    """Validate `b` and scatter its nonzeros into `out`, a zeroed rows-by-cols array."""
+    brow, bcol = b._nonzero_blocks()
+    out[brow * b.l + b.ai, bcol * b.l + b.aj] = b.an
+
+
+def _prune_dense(dense: np.ndarray, target_sparsity: float) -> None:
+    """Zero the ceil(target_sparsity * size) smallest-magnitude entries of `dense` in place.
+
+    Selection, not sorting: every entry below the needed-th smallest
+    magnitude goes, then the first entries at that magnitude in row-major
+    order, which is the order a stable sort of the flattening leaves them.
+    """
+    if not 0.0 <= target_sparsity <= 1.0:
+        raise ValueError("target_sparsity must lie in [0, 1]")
+    if not np.all(np.isfinite(dense)):
+        raise ValueError("cannot prune non-finite weights (NaN or inf)")
+    needed = int(np.ceil(target_sparsity * dense.size))
+    if needed == 0:
+        return
+    mag = np.abs(dense)
+    cut = np.partition(mag, needed - 1, axis=None)[needed - 1]
+    below = mag < cut
+    dense[below] = 0.0
+    ties = np.flatnonzero(mag == cut)[: needed - np.count_nonzero(below)]
+    dense[np.unravel_index(ties, dense.shape)] = 0.0
+
+
 def prune(batch: TransformedBatch, target_sparsity: float) -> TransformedBatch:
     """Zero the smallest-magnitude entries of each per-position matrix.
 
     Zeroing proceeds until at least `target_sparsity` of each matrix's
     logical entries are zero; ties break deterministically by (row, col).
-    Surviving values are never changed.
+    Surviving values are never changed.  Non-finite entries raise ValueError.
     """
-    if not 0.0 <= target_sparsity <= 1.0:
-        raise ValueError("target_sparsity must lie in [0, 1]")
     pruned = []
     for mat in batch:
         dense = from_zmorton(mat)  # a fresh array, never a view of `mat`
-        needed = int(np.ceil(target_sparsity * dense.size))
-        # Existing zeros sort first; the stable sort of the row-major
-        # flattening breaks magnitude ties by (row, col).
-        dense.flat[np.argsort(np.abs(dense), axis=None, kind="stable")[:needed]] = 0.0
+        _prune_dense(dense, target_sparsity)
         pruned.append(to_zmorton(dense, mat.l))
     return TransformedBatch(l=batch.l, mats=pruned)
 

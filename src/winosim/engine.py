@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bcoo import BcooMatrix, bcoo_decode, bcoo_encode
+from .bcoo import BcooMatrix, _decode_dense, _prune_dense, bcoo_encode
 from .layout import (
     TransformedBatch,
     ZMortonMatrix,
@@ -54,8 +54,8 @@ from .layout import (
     assemble_output,
     extract_tiles,
     from_zmorton,
-    gather_filters,
     scatter_to_matrices,
+    to_zmorton,
     transform_tiles,
     zmorton_zeros,
 )
@@ -407,9 +407,17 @@ def winograd_conv_sparse(
     each) in (i, j) row-major position order.  Counters charge stored
     nonzeros only.
     """
-    if len(u_sparse) != plan.l * plan.l:
-        raise ValueError(f"expected {plan.l * plan.l} sparse weight matrices, got {len(u_sparse)}")
-    U = np.stack([from_zmorton(bcoo_decode(u)) for u in u_sparse])
+    l = plan.l
+    if len(u_sparse) != l * l:
+        raise ValueError(f"expected {l * l} sparse weight matrices, got {len(u_sparse)}")
+    K, C = u_sparse[0].rows, u_sparse[0].cols
+    U = np.zeros((l * l, K, C))
+    for p, (u, dense) in enumerate(zip(u_sparse, U)):
+        if u.l != l:
+            raise ValueError(f"weight matrix at position {p} has block side {u.l}, plan needs l={l}")
+        if (u.rows, u.cols) != (K, C):
+            raise ValueError(f"weight matrix at position {p} is {u.rows}x{u.cols}, position 0 is {K}x{C}")
+        _decode_dense(u, dense)
     nnz = np.count_nonzero(U)
     rows_hit = np.count_nonzero(U.any(axis=2))
     return _winograd_conv(fm, U, plan, pad, counters, nnz, rows_hit)
@@ -436,10 +444,10 @@ def compress_filters(filters, plan: WinogradPlan, target_sparsity: float):
 
     Returns (pruned TransformedBatch, list of BcooMatrix, achieved sparsity).
     """
-    from .bcoo import prune  # local import keeps module load order simple
-
-    batch = gather_filters(np.asarray(filters, dtype=float), plan)
-    pruned = prune(batch, target_sparsity)
+    U = _filter_stack(filters, plan)
+    for dense in U:
+        _prune_dense(dense, target_sparsity)
+    pruned = TransformedBatch(l=plan.l, mats=[to_zmorton(dense, plan.l) for dense in U])
     encoded = [bcoo_encode(mat) for mat in pruned]
     total = sum(mat.rows * mat.cols for mat in pruned)
     nnz = sum(enc.nnz for enc in encoded)

@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 from winosim.bcoo import (
     BcooFormatError,
     BcooMatrix,
+    _decode_dense,
+    _prune_dense,
     bcoo_decode,
     bcoo_encode,
     bcoo_from_bytes,
@@ -17,7 +19,7 @@ from winosim.bcoo import (
     prune,
     save_bcoo,
 )
-from winosim.layout import TransformedBatch, from_zmorton, to_zmorton
+from winosim.layout import TransformedBatch, _grid_codes, from_zmorton, to_zmorton
 
 
 def _random_sparse(rng, rows, cols, sparsity):
@@ -237,3 +239,99 @@ def test_bcoo_from_bytes_parses_exactly_or_raises_value_error(buf):
     except ValueError:
         return
     assert bcoo_to_bytes(mat) == buf[:end]
+
+
+def _reference_prune(batch: TransformedBatch, target_sparsity: float) -> TransformedBatch:
+    """The stable-argsort pruning rule, verbatim; `_prune_dense` must reproduce it."""
+    if not 0.0 <= target_sparsity <= 1.0:
+        raise ValueError("target_sparsity must lie in [0, 1]")
+    pruned = []
+    for mat in batch:
+        dense = from_zmorton(mat)  # a fresh array, never a view of `mat`
+        needed = int(np.ceil(target_sparsity * dense.size))
+        # Existing zeros sort first; the stable sort of the row-major
+        # flattening breaks magnitude ties by (row, col).
+        dense.flat[np.argsort(np.abs(dense), axis=None, kind="stable")[:needed]] = 0.0
+        pruned.append(to_zmorton(dense, mat.l))
+    return TransformedBatch(l=batch.l, mats=pruned)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    levels=st.integers(1, 8),
+    zero_fraction=st.sampled_from([0.0, 0.3, 0.9]),
+    sparsity=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 10_000),
+)
+def test_prune_dense_matches_stable_argsort_rule(rows, cols, levels, zero_fraction, sparsity, seed):
+    # Few magnitude levels force ties; zeros of both signs sit among them.
+    rng = np.random.default_rng(seed)
+    m = np.round(rng.uniform(-1, 1, (rows, cols)) * levels) / levels
+    zeros = rng.uniform(0, 1, m.shape) < zero_fraction
+    m[zeros] = np.where(rng.uniform(0, 1, m.shape) < 0.5, 0.0, -0.0)[zeros]
+    want = from_zmorton(_reference_prune(_batch_of(m), sparsity).mats[0])
+    got = m.copy()
+    _prune_dense(got, sparsity)
+    assert got.tobytes() == want.tobytes()
+    assert from_zmorton(prune(_batch_of(m), sparsity).mats[0]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prune_rejects_non_finite_entries(bad):
+    m = np.random.default_rng(4).uniform(-1, 1, (5, 5))
+    m[2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        prune(_batch_of(m), 0.5)
+
+
+def test_duplicate_test_survives_a_key_past_int64():
+    # (owner * l + ai) * l + aj overflows int64 here: AI = 2**24 times
+    # l = 2**40 wraps to 0, so a naive key would equate (2**24, 5) and (0, 5).
+    big = 1 << 40
+    distinct = _record(big, big, big, bn=[0], bi=[0, 2], ai=[0, 1 << 24], aj=[5, 5], an=[1.0, 2.0])
+    distinct.validate()
+    assert bcoo_from_bytes(bcoo_to_bytes(distinct))[0].nnz == 2
+    repeated = _record(big, big, big, bn=[0], bi=[0, 2], ai=[1 << 24] * 2, aj=[5, 5], an=[1.0, 2.0])
+    with pytest.raises(BcooFormatError, match="duplicate"):
+        bcoo_from_bytes(bcoo_to_bytes(repeated))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    code=st.one_of(st.integers(-8, 300), st.sampled_from([-(1 << 63), 1 << 32, 1 << 40, (1 << 63) - 1])),
+    row_bits=st.integers(0, 4),
+    col_bits=st.integers(0, 4),
+)
+def test_validate_grid_check_matches_grid_membership(code, row_bits, col_bits):
+    nbr, nbc = 1 << row_bits, 1 << col_bits
+    # l = 1 and a full-size matrix: the block is the nonzero, always inside
+    rec = _record(nbr, nbc, 1, bn=[code], bi=[0, 1], ai=[0], aj=[0], an=[1.0])
+    try:
+        rec.validate()
+        accepted = True
+    except BcooFormatError:
+        accepted = False
+    assert accepted == (code in set(_grid_codes(nbr, nbc).tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_bcoo_like_records(), st.tuples(
+    st.integers(1, 20), st.integers(1, 20), st.integers(1, 5),
+    st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.integers(0, 10_000),
+)))
+def test_decode_dense_equals_zmorton_decode(source):
+    if isinstance(source, bytes):
+        try:
+            mat, _ = bcoo_from_bytes(source)
+        except ValueError:
+            return
+        if mat.l > 64:  # the Z-Morton decode would allocate l-by-l padding blocks
+            return
+    else:
+        rows, cols, l, sparsity, seed = source
+        mat = bcoo_encode(to_zmorton(_random_sparse(np.random.default_rng(seed), rows, cols, sparsity), l))
+    dense = np.zeros((mat.rows, mat.cols))
+    _decode_dense(mat, dense)
+    assert dense.tobytes() == from_zmorton(bcoo_decode(mat)).tobytes()

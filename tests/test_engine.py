@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from winosim.bcoo import bcoo_decode, bcoo_encode
+from winosim.bcoo import BcooFormatError, BcooMatrix, bcoo_decode, bcoo_encode
 from winosim.engine import (
     LayerSpec,
     block_matmul_sparse,
@@ -384,6 +384,39 @@ def test_sparse_conv_matches_block_engine_and_its_counters(m, C, H, W, K, pad):
         block_matmul_sparse(u, to_zmorton(np.zeros((C, P)), plan.l), counters=want_counters)
     assert got_counters.multiplies == want_counters.multiplies
     assert got_counters.matmul_additions == want_counters.matmul_additions
+
+
+def test_sparse_conv_rejects_weights_built_for_another_plan():
+    rng = np.random.default_rng(21)
+    fm = rng.uniform(-1, 1, (3, 8, 8))
+    flt = rng.uniform(-1, 1, (4, 3, 3, 3))
+    _, enc4, _ = compress_filters(flt, make_plan(4, 3), 0.5)
+    with pytest.raises(ValueError, match="position 0 has block side 6"):
+        winograd_conv_sparse(fm, enc4[:16], make_plan(2, 3), pad=1)
+    # one position compressed from a bank with more filters
+    _, enc2, _ = compress_filters(flt, make_plan(2, 3), 0.5)
+    _, wide, _ = compress_filters(rng.uniform(-1, 1, (5, 3, 3, 3)), make_plan(2, 3), 0.5)
+    with pytest.raises(ValueError, match="position 7 is 5x3, position 0 is 4x3"):
+        winograd_conv_sparse(fm, enc2[:7] + wide[7:8] + enc2[8:], make_plan(2, 3), pad=1)
+
+
+def test_sparse_conv_validates_each_record(plan):
+    fm = np.ones((4, 6, 6))
+    _, enc, _ = compress_filters(np.ones((4, 4, 3, 3)), plan, 0.0)
+    u = enc[5]
+    duplicate = BcooMatrix(rows=u.rows, cols=u.cols, l=u.l, bn=u.bn, bi=u.bi,
+                           ai=u.ai.copy(), aj=u.aj.copy(), an=u.an)
+    duplicate.ai[1], duplicate.aj[1] = duplicate.ai[0], duplicate.aj[0]
+    with pytest.raises(BcooFormatError, match="duplicate"):
+        winograd_conv_sparse(fm, enc[:5] + [duplicate] + enc[6:], plan, pad=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_compress_filters_rejects_non_finite_weights(plan, bad):
+    flt = np.random.default_rng(22).uniform(-1, 1, (3, 2, 3, 3))
+    flt[1, 0, 2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        compress_filters(flt, plan, 0.5)
 
 
 # ---------------------------------------------------------------------------

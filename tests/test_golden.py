@@ -1,4 +1,4 @@
-"""Byte-identity guard: pinned digests of simulator CSVs and BCOO containers.
+"""Byte-identity guard: pinned digests of CLI outputs and BCOO containers.
 
 Refactors and speed-ups of the simulator, the analytical model or the
 block codec must leave these outputs byte for byte unchanged.  A digest
@@ -70,10 +70,23 @@ def _sha256(data: bytes) -> str:
              "--sparsities", "0.3,0.9", "--seed", "7", "--clusters", "3"],
             "b969dfd586fc3e4f4c1ecdb85d5d84ab981d960df9ca16f1cd8b297a32830f06",
         ),
+        (
+            ["compress", "--k", "64", "--c", "64", "--sparsity", "0.9"],
+            "760658a0472783ce32b7a0fc5da90fbae296a255b0bdfedc732132e7792447b4",
+        ),
+        (
+            ["convolve", "--mode", "sparse", "--sparsity", "0.9"],
+            "9189601e6602896afc6736f5a4ae42783d6e4228c9b4af19cf21c0336571de0a",
+        ),
+        (
+            ["convolve", "--mode", "sparse", "--sparsity", "0.9", "--shape", "64x16x16", "--k", "64"],
+            "d27bc394dfca9f42d17f5b1d0919cad7bba6e8e6bcaf45c2158113a5a36c0575",
+        ),
     ],
     ids=["simulate-dense", "simulate-sparse", "dse", "simulate-fifo1", "simulate-fifo1-sparse",
          "simulate-fifo3-clusters3-sparse", "dse-m3-fifo2", "dse-corrected-adds", "dse-no-sim",
-         "dse-seed7-clusters3"],
+         "dse-seed7-clusters3", "compress-k64-c64-sparse", "convolve-sparse",
+         "convolve-sparse-64x16x16-k64"],
 )
 def test_cli_csv_digest(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
