@@ -23,7 +23,7 @@ from .layout import (
     TransformedBatch,
     ZMortonMatrix,
     _block_extent,
-    _compact_bits,
+    _morton_decode_array,
     from_zmorton,
     morton_encode,
     to_zmorton,
@@ -111,8 +111,7 @@ class BcooMatrix:
         if np.any(self.an == 0.0):
             raise BcooFormatError("AN stores an explicit zero")
         owner = np.repeat(np.arange(len(self.bn)), counts)
-        brow = _compact_bits(self.bn >> 1)[owner]
-        bcol = _compact_bits(self.bn)[owner]
+        brow, bcol = (coord[owner] for coord in _morton_decode_array(self.bn))
         # brow * l + ai < rows, rearranged so that it cannot overflow int64
         outside_rows = brow > (self.rows - 1 - self.ai) // l
         outside_cols = bcol > (self.cols - 1 - self.aj) // l

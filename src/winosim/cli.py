@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,9 +58,9 @@ def _load_spec(arg: str, scale: int) -> engine.NetworkSpec:
     return model.scale_network(net, scale)
 
 
-def _arch_config(args, l: int) -> sim.ArchConfig:
+def _arch_config(args) -> sim.ArchConfig:
+    """ArchConfig from the architecture flags; l follows the plan in use, so callers set it."""
     return sim.ArchConfig(
-        l=l,
         clusters=args.clusters,
         transform_arrays=args.transform_arrays,
         fifo_depth=args.fifo_depth,
@@ -210,7 +211,7 @@ def cmd_compress(args) -> int:
 def cmd_simulate(args) -> int:
     net = _load_spec(args.spec, args.scale)
     plan = make_plan(args.m, args.r)
-    cfg = _arch_config(args, plan.l)
+    cfg = replace(_arch_config(args), l=plan.l)
     lines = [sim.sim_csv_header()]
     for layer in net.conv_layers():
         rep = sim.simulate_layer(layer, plan, cfg, args.sparsity, args.seed)
@@ -233,7 +234,7 @@ def cmd_dse(args) -> int:
         args.m_values,
         args.sparsities,
         ep,
-        _arch_config(args, args.m_values[0] + args.r - 1),
+        _arch_config(args),
         seed=args.seed,
         corrected_transform_adds=args.corrected_transform_adds,
         simulate=not args.no_sim,
@@ -250,9 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="winosim", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--m", type=int, default=2, help="outputs per tile edge (default 2)")
-        p.add_argument("--r", type=int, default=3, help="filter width (default 3)")
+    def common(p, plan=True):
+        if plan:
+            p.add_argument("--m", type=int, default=2, help="outputs per tile edge (default 2)")
+            p.add_argument("--r", type=int, default=3, help="filter width (default 3)")
         p.add_argument("--seed", type=int, default=0, help="seed for synthetic data")
 
     p = sub.add_parser("verify", help="run oracle-equivalence and format checks")
@@ -299,8 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", type=float, default=0.0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("dse", help="analytical + simulated design-space sweep, emit CSV")
-    common(p)
+    # No abbreviations here: `--m` would otherwise silently mean `--m-values`.
+    p = sub.add_parser("dse", help="analytical + simulated design-space sweep, emit CSV",
+                       allow_abbrev=False)
+    common(p, plan=False)  # m comes from --m-values, r from each layer
     sim_common(p)
     p.add_argument("--m-values", type=_parse_int_list, default=[2], dest="m_values")
     p.add_argument("--sparsities", type=_parse_float_list, default=[0.0])

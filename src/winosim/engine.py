@@ -47,10 +47,11 @@ from .layout import (
     TransformedBatch,
     ZMortonMatrix,
     _block_extent,
-    _compact_bits,
     _filter_stack,
     _input_stack,
     _morton_encode_array,
+    _output_extent,
+    _tile_counts,
     assemble_output,
     extract_tiles,
     from_zmorton,
@@ -59,7 +60,7 @@ from .layout import (
     transform_tiles,
     zmorton_zeros,
 )
-from .plans import OpCounters, WinogradPlan
+from .plans import OpCounters, WinogradPlan, _charge
 
 __all__ = [
     "LayerSpec",
@@ -105,23 +106,24 @@ class LayerSpec:
             raise ValueError(f"{self.name}: extents must be positive")
         if self.r % 2 == 0:
             raise ValueError(f"{self.name}: filter width must be odd")
-        if self.stride < 1:
-            raise ValueError(f"{self.name}: stride must be >= 1")
-        if self.pad < 0:
-            raise ValueError(f"{self.name}: pad must be >= 0")
-        if min(self.out_h, self.out_w) < 1:
-            raise ValueError(f"{self.name}: non-positive output extent {self.out_h}x{self.out_w}")
+        try:
+            self._out_extent()
+        except ValueError as exc:
+            raise ValueError(f"{self.name}: {exc}") from None
+
+    def _out_extent(self) -> tuple[int, int]:
+        return _output_extent(self.H, self.W, self.r, self.pad, self.stride)
 
     @property
     def out_h(self) -> int:
-        return (self.H + 2 * self.pad - self.r) // self.stride + 1
+        return self._out_extent()[0]
 
     @property
     def out_w(self) -> int:
-        return (self.W + 2 * self.pad - self.r) // self.stride + 1
+        return self._out_extent()[1]
 
     def tile_counts(self, m: int) -> tuple[int, int]:
-        return -(-self.out_h // m), -(-self.out_w // m)
+        return _tile_counts(*self._out_extent(), m)
 
 
 @dataclass(frozen=True)
@@ -243,19 +245,32 @@ def matmul_trace(mb: int, nb: int, pb: int) -> tuple[np.ndarray, np.ndarray, np.
 _EXEC_CHUNK = 1 << 15
 
 
-def _accumulate(out: ZMortonMatrix, rc, pa, pb):
-    # np.add.at applies the addends in index order, keeping per-output-block
-    # accumulation deterministic even with repeated ranks.
+def _block_matmul(A, codes, stack, B: ZMortonMatrix, entries, rows_hit, counters, trace):
+    """Block multiply of A, whose blocks `stack` sit at ascending Morton `codes`, by B.
+
+    Operations whose A block is absent are skipped; a dense A has every
+    block present.  Per output block, np.add.at applies the addends in
+    schedule order, which keeps the accumulation deterministic.
+    """
+    if A.l != B.l:
+        raise ValueError(f"block sides differ: {A.l} vs {B.l}")
+    if A.cols != B.rows:
+        raise ValueError(f"inner dimensions differ: {A.cols} vs {B.rows}")
+    cc, aa, bb = matmul_trace(_block_extent(A.rows, A.l), _block_extent(A.cols, A.l), B.block_cols)
+    ranks = np.searchsorted(codes, aa)
+    # A sentinel past the last code: codes are >= 0, so an absent code never matches.
+    present = np.append(codes, -1)[ranks] == aa
+    if not present.all():
+        cc, aa, bb, ranks = cc[present], aa[present], bb[present], ranks[present]
+    if trace is not None:
+        trace.extend(zip(cc.tolist(), aa.tolist(), bb.tolist()))
+    out = zmorton_zeros(A.rows, B.cols, A.l)
+    rc, rb = out.ranks_of(cc), B.ranks_of(bb)
     for lo in range(0, len(rc), _EXEC_CHUNK):
-        hi = min(lo + _EXEC_CHUNK, len(rc))
-        np.add.at(out.blocks, rc[lo:hi], np.matmul(pa[lo:hi], pb[lo:hi]))
-
-
-def _check_matmul_operands(a_rows, a_cols, b_rows, b_cols, la, lb):
-    if la != lb:
-        raise ValueError(f"block sides differ: {la} vs {lb}")
-    if a_cols != b_rows:
-        raise ValueError(f"inner dimensions differ: {a_cols} vs {b_rows}")
+        hi = lo + _EXEC_CHUNK
+        np.add.at(out.blocks, rc[lo:hi], np.matmul(stack[ranks[lo:hi]], B.blocks[rb[lo:hi]]))
+    _charge(counters, entries, rows_hit, B.cols)
+    return out
 
 
 def recursive_matmul(
@@ -268,18 +283,10 @@ def recursive_matmul(
 
     Numerically equal to the dense product of the logical matrices; block
     memory is visited in the unrolled schedule order (pass `trace` to
-    collect the (c, a, b) Morton-code triples).
+    collect the (c, a, b) Morton-code triples).  Counters charge every
+    logical entry of A.
     """
-    _check_matmul_operands(A.rows, A.cols, B.rows, B.cols, A.l, B.l)
-    cc, aa, bb = matmul_trace(A.block_rows, A.block_cols, B.block_cols)
-    if trace is not None:
-        trace.extend(zip(cc.tolist(), aa.tolist(), bb.tolist()))
-    out = zmorton_zeros(A.rows, B.cols, A.l)
-    _accumulate(out, out.ranks_of(cc), A.blocks[A.ranks_of(aa)], B.blocks[B.ranks_of(bb)])
-    if counters is not None:
-        counters.multiplies += A.rows * A.cols * B.cols
-        counters.matmul_additions += A.rows * (A.cols - 1) * B.cols
-    return out
+    return _block_matmul(A, A.block_codes, A.blocks, B, A.rows * A.cols, A.rows, counters, trace)
 
 
 def block_matmul_sparse(
@@ -291,28 +298,12 @@ def block_matmul_sparse(
     """Sparse-left block multiply: products whose U block is absent are skipped.
 
     Equal to recursive_matmul on the decoded U, since skipped products are
-    exactly zero.
+    exactly zero.  Counters charge stored nonzeros only.  Raises
+    BcooFormatError unless U is a well-formed BCOO matrix.
     """
-    _check_matmul_operands(U.rows, U.cols, V.rows, V.cols, U.l, V.l)
-    mb = _block_extent(U.rows, U.l)
-    nb = _block_extent(U.cols, U.l)
-    cc, aa, bb = matmul_trace(mb, nb, V.block_cols)
-    present = np.isin(aa, U.bn)
-    cc, aa, bb = cc[present], aa[present], bb[present]
-    if trace is not None:
-        trace.extend(zip(cc.tolist(), aa.tolist(), bb.tolist()))
-    out = zmorton_zeros(U.rows, V.cols, U.l)
-    _accumulate(
-        out,
-        out.ranks_of(cc),
-        U.block_stack()[np.searchsorted(U.bn, aa)],
-        V.blocks[V.ranks_of(bb)],
-    )
-    if counters is not None:
-        rows_hit = len(np.unique(_compact_bits(U.bn >> 1)[U.owners()] * U.l + U.ai))
-        counters.multiplies += U.nnz * V.cols
-        counters.matmul_additions += max(0, U.nnz - rows_hit) * V.cols
-    return out
+    brow, _ = U._nonzero_blocks()
+    rows_hit = len(np.unique(brow * U.l + U.ai))
+    return _block_matmul(U, U.bn, U.block_stack(), V, U.nnz, rows_hit, counters, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +326,13 @@ def direct_conv(
         raise ValueError("filter bank does not match the feature map")
     if K < 1:
         raise ValueError(f"filter bank needs K >= 1, got K={K}")
-    if pad < 0:
-        raise ValueError("pad must be >= 0")
-    oh = (H + 2 * pad - r) // stride + 1
-    ow = (W + 2 * pad - r) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ValueError("non-positive output extent")
+    oh, ow = _output_extent(H, W, r, pad, stride)
     padded = np.zeros((C, H + 2 * pad, W + 2 * pad))
     padded[:, pad : pad + H, pad : pad + W] = fm
     win = np.lib.stride_tricks.sliding_window_view(padded, (r, r), axis=(1, 2))
     win = win[:, ::stride, ::stride][:, :oh, :ow]
     out = np.einsum("chwpq,kcpq->khw", win, filters)
-    if counters is not None:
-        counters.multiplies += K * oh * ow * C * r * r
-        counters.matmul_additions += K * oh * ow * (C * r * r - 1)
+    _charge(counters, K * C * r * r, K, oh * ow)
     return out
 
 
@@ -362,24 +346,33 @@ def _winograd_conv(fm, U, plan, pad, counters, nnz, rows_hit):
     """Convolve with an (l*l, K, C) transformed weight stack as l*l batched GEMMs.
 
     `nnz` and `rows_hit` are the weight entries and weight rows the
-    counters charge: each costs P multiplies, and each entry beyond the
-    first in its row costs P additions.
+    counters charge (see _charge).
     """
     fm = np.asarray(fm, dtype=float)
     C, H, W = fm.shape
     if U.shape[2] != C:
         raise ValueError(f"weights expect {U.shape[2]} channels, input has {C}")
+    out_h, out_w = _output_extent(H, W, plan.r, pad)
     tiles = extract_tiles(fm, plan, pad)
     _, th, tw, l, _ = tiles.shape
     V = _input_stack(transform_tiles(plan, tiles))
     K, P = U.shape[1], th * tw
-    if counters is not None:
-        counters.multiplies += nnz * P
-        counters.matmul_additions += (nnz - rows_hit) * P
+    _charge(counters, nnz, rows_hit, P)
     mats = np.matmul(U, V).reshape(l, l, K, P)
-    oh = H + 2 * pad - plan.r + 1
-    ow = W + 2 * pad - plan.r + 1
-    return assemble_output(mats, plan, K, oh, ow, counters=counters)
+    return assemble_output(mats, plan, K, out_h, out_w, counters=counters)
+
+
+def _check_records(u_sparse, l: int) -> tuple[int, int]:
+    """(K, C) of l*l weight records of block side l and one shape; else ValueError."""
+    if len(u_sparse) != l * l:
+        raise ValueError(f"expected {l * l} sparse weight matrices, got {len(u_sparse)}")
+    K, C = u_sparse[0].rows, u_sparse[0].cols
+    for p, u in enumerate(u_sparse):
+        if u.l != l:
+            raise ValueError(f"weight matrix at position {p} has block side {u.l}, plan needs l={l}")
+        if (u.rows, u.cols) != (K, C):
+            raise ValueError(f"weight matrix at position {p} is {u.rows}x{u.cols}, position 0 is {K}x{C}")
+    return K, C
 
 
 def winograd_conv_dense(
@@ -407,16 +400,9 @@ def winograd_conv_sparse(
     each) in (i, j) row-major position order.  Counters charge stored
     nonzeros only.
     """
-    l = plan.l
-    if len(u_sparse) != l * l:
-        raise ValueError(f"expected {l * l} sparse weight matrices, got {len(u_sparse)}")
-    K, C = u_sparse[0].rows, u_sparse[0].cols
-    U = np.zeros((l * l, K, C))
-    for p, (u, dense) in enumerate(zip(u_sparse, U)):
-        if u.l != l:
-            raise ValueError(f"weight matrix at position {p} has block side {u.l}, plan needs l={l}")
-        if (u.rows, u.cols) != (K, C):
-            raise ValueError(f"weight matrix at position {p} is {u.rows}x{u.cols}, position 0 is {K}x{C}")
+    K, C = _check_records(u_sparse, plan.l)
+    U = np.zeros((len(u_sparse), K, C))
+    for u, dense in zip(u_sparse, U):
         _decode_dense(u, dense)
     nnz = np.count_nonzero(U)
     rows_hit = np.count_nonzero(U.any(axis=2))
@@ -430,13 +416,12 @@ def winograd_conv_blocks(fm: np.ndarray, u_sparse, plan: WinogradPlan, pad: int 
     schedule the simulator models, so it shares no multiply code with the
     batched path.
     """
+    K, _ = _check_records(u_sparse, plan.l)
     fm = np.asarray(fm, dtype=float)
     vb = transform_input_batch(fm, plan, pad)
-    K = u_sparse[0].rows
     mats = np.stack([from_zmorton(block_matmul_sparse(u, v)) for u, v in zip(u_sparse, vb)])
-    oh = fm.shape[1] + 2 * pad - plan.r + 1
-    ow = fm.shape[2] + 2 * pad - plan.r + 1
-    return assemble_output(mats.reshape(plan.l, plan.l, K, -1), plan, K, oh, ow)
+    out_h, out_w = _output_extent(fm.shape[1], fm.shape[2], plan.r, pad)
+    return assemble_output(mats.reshape(plan.l, plan.l, K, -1), plan, K, out_h, out_w)
 
 
 def compress_filters(filters, plan: WinogradPlan, target_sparsity: float):

@@ -59,29 +59,29 @@ def _compact_bits(v):
 
 def morton_encode(block_row: int, block_col: int) -> int:
     """Bit-interleaved block address: column bits even, row bits odd."""
-    if block_row < 0 or block_col < 0:
-        raise ValueError("block coordinates must be non-negative")
-    if block_row >= _AXIS_LIMIT or block_col >= _AXIS_LIMIT:
-        raise ValueError(f"block coordinate exceeds {_AXIS_BITS}-bit axis width")
-    return int((_spread_bits(block_row) << 1) | _spread_bits(block_col))
+    return int(_morton_encode_array(block_row, block_col))
 
 
 def morton_decode(index: int) -> tuple[int, int]:
     """Inverse of morton_encode."""
-    if index < 0:
-        raise ValueError("morton index must be non-negative")
-    return int(_compact_bits(index >> 1)), int(_compact_bits(index))
+    rows, cols = _morton_decode_array(index)
+    return int(rows), int(cols)
 
 
-def _morton_encode_array(rows, cols) -> np.ndarray:
+def _morton_encode_array(rows, cols):
     """Morton codes of (row, col) block coordinates; refuses to alias."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if np.any(rows < 0) or np.any(cols < 0):
-        raise ValueError("block coordinates must be non-negative")
-    if np.any(rows >= _AXIS_LIMIT) or np.any(cols >= _AXIS_LIMIT):
-        raise ValueError(f"block coordinate exceeds {_AXIS_BITS}-bit axis width")
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if np.any((rows | cols) >> _AXIS_BITS):  # a negative coordinate sets the high bits too
+        raise ValueError(f"block coordinates must lie in [0, 2**{_AXIS_BITS})")
     return (_spread_bits(rows) << 1) | _spread_bits(cols)
+
+
+def _morton_decode_array(codes):
+    """(rows, cols) block coordinates of Morton codes; refuses to alias."""
+    codes = np.asarray(codes)
+    if np.any(codes >> (2 * _AXIS_BITS)):
+        raise ValueError(f"morton index must lie in [0, 2**{2 * _AXIS_BITS})")
+    return _compact_bits(codes >> 1), _compact_bits(codes)
 
 
 def _block_extent(n: int, l: int) -> int:
@@ -141,18 +141,14 @@ def _grid_codes(block_rows: int, block_cols: int) -> np.ndarray:
 
 def to_zmorton(dense, l: int) -> ZMortonMatrix:
     """Pack a row-major matrix into Morton-ordered l-by-l blocks."""
-    if l < 1:
-        raise ValueError("block side must be >= 1")
     dense = np.asarray(dense, dtype=float)
     rows, cols = dense.shape
-    nbr = _block_extent(rows, l)
-    nbc = _block_extent(cols, l)
-    padded = np.zeros((nbr * l, nbc * l))
+    zm = zmorton_zeros(rows, cols, l)
+    padded = np.zeros((zm.padded_rows, zm.padded_cols))
     padded[:rows, :cols] = dense
-    grid = padded.reshape(nbr, l, nbc, l).transpose(0, 2, 1, 3)
-    codes = _grid_codes(nbr, nbc)
-    blocks = grid[_compact_bits(codes >> 1), _compact_bits(codes)]
-    return ZMortonMatrix(rows=rows, cols=cols, l=l, block_codes=codes, blocks=blocks)
+    grid = padded.reshape(zm.block_rows, l, zm.block_cols, l).transpose(0, 2, 1, 3)
+    zm.blocks = grid[_morton_decode_array(zm.block_codes)]
+    return zm
 
 
 def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
@@ -160,11 +156,13 @@ def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
     l = zm.l
     nbr, nbc = zm.block_rows, zm.block_cols
     grid = np.zeros((nbr, nbc, l, l))
-    grid[_compact_bits(zm.block_codes >> 1), _compact_bits(zm.block_codes)] = zm.blocks
+    grid[_morton_decode_array(zm.block_codes)] = zm.blocks
     return grid.transpose(0, 2, 1, 3).reshape(nbr * l, nbc * l)[: zm.rows, : zm.cols]
 
 
 def zmorton_zeros(rows: int, cols: int, l: int) -> ZMortonMatrix:
+    if l < 1:
+        raise ValueError("block side must be >= 1")
     nbr = _block_extent(rows, l)
     nbc = _block_extent(cols, l)
     codes = _grid_codes(nbr, nbc)
@@ -173,26 +171,34 @@ def zmorton_zeros(rows: int, cols: int, l: int) -> ZMortonMatrix:
     )
 
 
+def _output_extent(H: int, W: int, r: int, pad: int = 0, stride: int = 1) -> tuple[int, int]:
+    """(out_h, out_w) of an r-by-r correlation at `stride` over an H-by-W map padded by `pad`."""
+    if pad < 0:
+        raise ValueError("pad must be >= 0")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    out_h, out_w = ((n + 2 * pad - r) // stride + 1 for n in (H, W))
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"non-positive output extent {out_h}x{out_w}")
+    return out_h, out_w
+
+
+def _tile_counts(out_h: int, out_w: int, m: int) -> tuple[int, int]:
+    """(tiles_h, tiles_w): m-by-m output tiles covering an out_h-by-out_w output."""
+    return tuple(-(-n // m) for n in (out_h, out_w))
+
+
 def extract_tiles(fm: np.ndarray, plan: WinogradPlan, pad: int = 0) -> np.ndarray:
     """Overlapped l-by-l tiles at stride m over the zero-padded input.
 
     Returns an array of shape (C, tiles_h, tiles_w, l, l).  Adjacent tiles
     overlap by r - 1; reads past the padded input are zero.
     """
-    if pad < 0:
-        raise ValueError("pad must be >= 0")
     fm = np.asarray(fm, dtype=float)
     C, H, W = fm.shape
-    m, l, r = plan.m, plan.l, plan.r
-    out_h = H + 2 * pad - r + 1
-    out_w = W + 2 * pad - r + 1
-    if out_h < 1 or out_w < 1:
-        raise ValueError("non-positive output extent")
-    th = -(-out_h // m)
-    tw = -(-out_w // m)
-    ext_h = (th - 1) * m + l
-    ext_w = (tw - 1) * m + l
-    padded = np.zeros((C, ext_h, ext_w))
+    m, l = plan.m, plan.l
+    th, tw = _tile_counts(*_output_extent(H, W, plan.r, pad), m)
+    padded = np.zeros((C, (th - 1) * m + l, (tw - 1) * m + l))
     padded[:, pad : pad + H, pad : pad + W] = fm
     win = np.lib.stride_tricks.sliding_window_view(padded, (l, l), axis=(1, 2))
     return np.ascontiguousarray(win[:, ::m, ::m][:, :th, :tw])
@@ -268,8 +274,7 @@ def assemble_output(
     and tiles extending past the logical output extent are clipped.
     """
     l, m = plan.l, plan.m
-    th = -(-out_h // m)
-    tw = -(-out_w // m)
+    th, tw = _tile_counts(out_h, out_w, m)
     P = mats.shape[3]
     if mats.shape != (l, l, K, P) or P != th * tw:
         raise ValueError("product matrices inconsistent with output geometry")

@@ -27,13 +27,13 @@ weight volume by the surviving fraction; feature maps stay dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .engine import FcSpec, LayerSpec, NetworkSpec, PoolSpec
 from .plans import WinogradPlan, make_plan
-from .sim import ArchConfig, SimReport, simulate_layer
+from .sim import ArchConfig, SimReport, _csv_line, simulate_layer
 
 __all__ = [
     "EnergyParams",
@@ -92,9 +92,8 @@ def volumes(layer: LayerSpec, m: int, r: int | None = None) -> tuple[int, int, i
 
 
 def mult_count(layer: LayerSpec, m: int, r: int | None = None) -> int:
-    r = layer.r if r is None else r
-    l = m + r - 1
-    return tile_count(layer, m) * layer.C * layer.K * l * l
+    """M_W: every transformed input entry meets each of the K filters once."""
+    return volumes(layer, m, r)[0] * layer.K
 
 
 def add_counts(
@@ -313,27 +312,12 @@ def dse_sweep(
     return rows
 
 
-_DSE_FIELDS = (
-    "layer,m,sparsity,d_wi,d_wo,d_wk,m_w,s_w,s_b,s_a,e_tot,"
-    "weight_dilation,fm_dilation,cycles,ext_fetches,local_fetches,"
-    "block_matmuls,bw_reduction"
-)
-
-
 def dse_csv_header() -> str:
-    return _DSE_FIELDS
+    return ",".join(f.name for f in fields(SweepRow))
 
 
 def dse_csv_rows(rows) -> list[str]:
-    out = []
-    for r in rows:
-        out.append(
-            f"{r.layer},{r.m},{r.sparsity!r},{r.d_wi},{r.d_wo},{r.d_wk},"
-            f"{r.m_w},{r.s_w},{r.s_b},{r.s_a},{r.e_tot!r},"
-            f"{r.weight_dilation!r},{r.fm_dilation!r},{r.cycles},"
-            f"{r.ext_fetches},{r.local_fetches},{r.block_matmuls},{r.bw_reduction!r}"
-        )
-    return out
+    return [_csv_line(astuple(r)) for r in rows]
 
 
 # ---------------------------------------------------------------------------

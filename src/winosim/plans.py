@@ -53,6 +53,17 @@ class OpCounters:
     inverse_transforms: int = 0
 
 
+def _charge(counters: OpCounters | None, entries: int, rows_hit: int, P: int) -> None:
+    """Charge a product whose left operand stores `entries` entries in `rows_hit` rows.
+
+    The right operand has P columns.  Each entry costs P multiplies, and
+    each entry beyond the first in its row costs P additions.
+    """
+    if counters is not None:
+        counters.multiplies += entries * P
+        counters.matmul_additions += (entries - rows_hit) * P
+
+
 @dataclass
 class WinogradPlan:
     """F(m, r) transform matrices.  Treat instances as immutable."""
@@ -180,9 +191,7 @@ def direct_correlate_1d(d, g, counters: OpCounters | None = None) -> np.ndarray:
     if m < 1:
         raise ValueError("input shorter than filter")
     y = np.array([np.dot(d[i : i + r], g) for i in range(m)])
-    if counters is not None:
-        counters.multiplies += m * r
-        counters.matmul_additions += m * (r - 1)
+    _charge(counters, r, 1, m)
     return y
 
 

@@ -235,6 +235,12 @@ def _run_cluster_schedule(
     )
 
 
+def _simulate_cluster(product, U, V: ZMortonMatrix, cfg: ArchConfig, weights, collect_steps):
+    """(report, product) for U times V; the product's operand checks have run."""
+    streams = matmul_streams(_block_extent(U.rows, U.l), _block_extent(U.cols, U.l), V.block_cols)
+    return _run_cluster_schedule(streams, cfg, weights, collect_steps), product
+
+
 def simulate_cluster_dense(
     U: ZMortonMatrix, V: ZMortonMatrix, cfg: ArchConfig, collect_steps: bool = False
 ):
@@ -243,11 +249,7 @@ def simulate_cluster_dense(
     Returns (SimReport, product ZMortonMatrix); the product is numerically
     identical to recursive_matmul on the same operands.
     """
-    if U.cols != V.rows:
-        raise ValueError(f"inner dimensions differ: {U.cols} vs {V.rows}")
-    streams = matmul_streams(U.block_rows, U.block_cols, V.block_cols)
-    report = _run_cluster_schedule(streams, cfg, collect_steps=collect_steps)
-    return report, recursive_matmul(U, V)
+    return _simulate_cluster(recursive_matmul(U, V), U, V, cfg, None, collect_steps)
 
 
 def simulate_cluster_sparse(
@@ -258,14 +260,8 @@ def simulate_cluster_sparse(
     Only products whose weight block exists are scheduled; the memory
     access pattern follows the distribution of the stored blocks.
     """
-    U.validate()
-    if U.cols != V.rows:
-        raise ValueError(f"inner dimensions differ: {U.cols} vs {V.rows}")
-    mb = _block_extent(U.rows, U.l)
-    nb = _block_extent(U.cols, U.l)
-    streams = matmul_streams(mb, nb, V.block_cols)
-    report = _run_cluster_schedule(streams, cfg, (U.bn, np.diff(U.bi)), collect_steps)
-    return report, block_matmul_sparse(U, V)
+    product = block_matmul_sparse(U, V)
+    return _simulate_cluster(product, U, V, cfg, (U.bn, np.diff(U.bi)), collect_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +332,7 @@ def _simulate_geometry(
     H and W beyond P.  Callers get a copy, so the memo is never aliased.
     """
     l = cfg.l
-    mb = _block_extent(K, l)
-    nb = _block_extent(C, l)
-    pb = _block_extent(P, l)
+    mb, nb, pb = (_block_extent(n, l) for n in (K, C, P))
     streams = matmul_streams(mb, nb, pb)
 
     if sparsity > 0.0:
@@ -391,16 +385,24 @@ def _simulate_geometry(
 # ---------------------------------------------------------------------------
 # CSV emission
 
-_CSV_FIELDS = "layer,m,sparsity,cycles,ext_fetches,local_fetches,block_matmuls,bw_reduction"
+# CSV column -> SimReport field, after the layer, m and sparsity columns
+_CSV_COLUMNS = {
+    "cycles": "total_cycles",
+    "ext_fetches": "external_block_fetches",
+    "local_fetches": "local_block_fetches",
+    "block_matmuls": "block_matmuls_executed",
+    "bw_reduction": "bandwidth_reduction_factor",
+}
+
+
+def _csv_line(values) -> str:
+    """One CSV line: floats by repr, so they read back exactly; the rest by str."""
+    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
 def sim_csv_header() -> str:
-    return _CSV_FIELDS
+    return ",".join(("layer", "m", "sparsity", *_CSV_COLUMNS))
 
 
 def sim_csv_row(layer_name: str, m: int, sparsity: float, rep: SimReport) -> str:
-    return (
-        f"{layer_name},{m},{sparsity!r},{rep.total_cycles},"
-        f"{rep.external_block_fetches},{rep.local_block_fetches},"
-        f"{rep.block_matmuls_executed},{rep.bandwidth_reduction_factor!r}"
-    )
+    return _csv_line((layer_name, m, sparsity, *(getattr(rep, f) for f in _CSV_COLUMNS.values())))

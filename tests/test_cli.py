@@ -158,6 +158,13 @@ def test_direct_convolve_rejects_empty_filter_bank(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--m", "--r"])
+def test_dse_has_no_plan_flags(flag):
+    # dse takes m from --m-values and r from each layer; `--m` is no prefix of `--m-values`
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["dse", flag, "4"])
+
+
 def test_bad_shape_rejected():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["verify", "--shape", "banana"])

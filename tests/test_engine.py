@@ -289,6 +289,28 @@ def test_sparse_executes_only_present_blocks():
     assert len(trace) == 8  # each left block feeds 4 output blocks
 
 
+def _malformed_records():
+    """BCOO records of an 8x8 matrix that BcooMatrix.validate rejects."""
+    u = bcoo_encode(to_zmorton(np.random.default_rng(23).uniform(-1, 1, (8, 8)), 4))
+    duplicate_ai, duplicate_aj = u.ai.copy(), u.aj.copy()
+    duplicate_ai[1], duplicate_aj[1] = duplicate_ai[0], duplicate_aj[0]
+    return {
+        "repeated BN": BcooMatrix(8, 8, 4, np.array([0, 0, 1, 2]), u.bi, u.ai, u.aj, u.an),
+        "BN outside the grid": BcooMatrix(8, 8, 4, np.array([0, 1, 2, 5]), u.bi, u.ai, u.aj, u.an),
+        "duplicate (AI, AJ)": BcooMatrix(8, 8, 4, u.bn, u.bi, duplicate_ai, duplicate_aj, u.an),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_records()))
+def test_sparse_matmul_rejects_malformed_operand(case):
+    bad = _malformed_records()[case]
+    with pytest.raises(BcooFormatError):
+        bad.validate()
+    V = to_zmorton(np.random.default_rng(24).uniform(-1, 1, (8, 8)), 4)
+    with pytest.raises(BcooFormatError):
+        block_matmul_sparse(bad, V)
+
+
 # ---------------------------------------------------------------------------
 # winograd convolution paths
 
@@ -411,6 +433,22 @@ def test_sparse_conv_validates_each_record(plan):
         winograd_conv_sparse(fm, enc[:5] + [duplicate] + enc[6:], plan, pad=1)
 
 
+def test_block_reference_checks_records_like_the_sparse_path(plan):
+    rng = np.random.default_rng(25)
+    fm = rng.uniform(-1, 1, (3, 8, 8))
+    _, enc, _ = compress_filters(rng.uniform(-1, 1, (4, 3, 3, 3)), plan, 0.5)
+    _, enc4, _ = compress_filters(rng.uniform(-1, 1, (4, 3, 3, 3)), make_plan(4, 3), 0.5)
+    _, wide, _ = compress_filters(rng.uniform(-1, 1, (5, 3, 3, 3)), plan, 0.5)
+    for records, message in [
+        (enc + enc[:1], "expected 16 sparse weight matrices, got 17"),
+        (enc4[:16], "position 0 has block side 6"),
+        (enc[:7] + wide[7:8] + enc[8:], "position 7 is 5x3, position 0 is 4x3"),
+    ]:
+        for conv in (winograd_conv_sparse, winograd_conv_blocks):
+            with pytest.raises(ValueError, match=message):
+                conv(fm, records, plan, pad=1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_compress_filters_rejects_non_finite_weights(plan, bad):
     flt = np.random.default_rng(22).uniform(-1, 1, (3, 2, 3, 3))
@@ -440,6 +478,11 @@ def test_layer_spec_rejects_unpriceable_geometry():
 def test_direct_conv_rejects_negative_pad():
     with pytest.raises(ValueError, match="pad must be >= 0"):
         direct_conv(np.ones((1, 6, 6)), np.ones((1, 1, 3, 3)), pad=-1)
+
+
+def test_direct_conv_rejects_zero_stride():
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        direct_conv(np.ones((1, 6, 6)), np.ones((1, 1, 3, 3)), stride=0)
 
 
 def test_tensor_container_round_trip(tmp_path):

@@ -46,6 +46,10 @@ def test_morton_rejects_overflow():
         morton_encode(2**16, 0)
     with pytest.raises(ValueError):
         morton_encode(-1, 0)
+    with pytest.raises(ValueError):
+        morton_decode(1 << 32)
+    with pytest.raises(ValueError):
+        morton_decode((1 << 32) + 6)
 
 
 def test_morton_array_paths_refuse_to_alias():
@@ -56,6 +60,13 @@ def test_morton_array_paths_refuse_to_alias():
         zmorton_zeros(1, 1 << 17, 1)
     with pytest.raises(ValueError):
         matmul_streams(1, 1, 1 << 17)
+
+
+def test_zmorton_rejects_block_side_below_one():
+    with pytest.raises(ValueError, match="block side must be >= 1"):
+        zmorton_zeros(4, 4, 0)
+    with pytest.raises(ValueError, match="block side must be >= 1"):
+        to_zmorton(np.ones((4, 4)), 0)
 
 
 def test_zmorton_single_block(plan):
