@@ -260,8 +260,7 @@ def _block_matmul(A, codes, stack, B: ZMortonMatrix, entries, rows_hit, counters
     ranks = np.searchsorted(codes, aa)
     # A sentinel past the last code: codes are >= 0, so an absent code never matches.
     present = np.append(codes, -1)[ranks] == aa
-    if not present.all():
-        cc, aa, bb, ranks = cc[present], aa[present], bb[present], ranks[present]
+    cc, aa, bb, ranks = cc[present], aa[present], bb[present], ranks[present]
     if trace is not None:
         trace.extend(zip(cc.tolist(), aa.tolist(), bb.tolist()))
     out = zmorton_zeros(A.rows, B.cols, A.l)
