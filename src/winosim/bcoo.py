@@ -3,7 +3,7 @@
 Only l-by-l blocks containing nonzeros are stored.  Five vectors describe
 them: BN (Morton block numbers, ascending), BI (CSR-style start offsets,
 one trailing entry), AI/AJ (row/column of each nonzero inside its block),
-and AN (the nonzero values).  Nonzeros within a block are listed row-major.
+and AN (the nonzero values).  Nonzeros within a block are strictly row-major.
 
 The on-disk container is little-endian and documented byte-exactly in the
 README: five int64 header words (rows, cols, l, n_blocks, nnz), then BN,
@@ -117,15 +117,12 @@ class BcooMatrix:
         outside_cols = bcol > (self.cols - 1 - self.aj) // l
         if np.any(outside_rows | outside_cols):
             raise BcooFormatError("nonzero outside the logical matrix")
-        if len(self.bn) * l * l <= 1 << 63:
-            # (owner, ai, aj) as one mixed-radix key, below len(bn) * l * l
-            keys = np.sort((owner * l + self.ai) * l + self.aj)
-            duplicate = np.any(keys[1:] == keys[:-1])
-        else:
-            keys = np.stack((owner, self.ai, self.aj))[:, np.lexsort((self.aj, self.ai, owner))]
-            duplicate = np.any(np.all(np.diff(keys) == 0, axis=0))
-        if duplicate:
-            raise BcooFormatError("duplicate (AI, AJ) pair within a block")
+        # Each nonzero lies strictly after its predecessor in the block, in
+        # (AI, AJ) order, which also rules out duplicates.
+        d_ai, d_aj = np.diff(self.ai), np.diff(self.aj)
+        later = (d_ai > 0) | ((d_ai == 0) & (d_aj > 0))
+        if np.any(~later & (owner[1:] == owner[:-1])):
+            raise BcooFormatError("duplicate or out-of-order (AI, AJ) pair within a block")
         return brow, bcol
 
 

@@ -248,8 +248,15 @@ def cmd_dse(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="winosim", description=__doc__)
+    # No abbreviations anywhere: a flag added later must not change what an
+    # old command line means, as `dse --m 4` once meant `--m-values 4`.
+    ap = argparse.ArgumentParser(prog="winosim", description=__doc__, allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
+
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
 
     def common(p, plan=True):
         if plan:
@@ -257,15 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--r", type=int, default=3, help="filter width (default 3)")
         p.add_argument("--seed", type=int, default=0, help="seed for synthetic data")
 
-    p = sub.add_parser("verify", help="run oracle-equivalence and format checks")
+    p = command("verify", cmd_verify, "run oracle-equivalence and format checks")
     common(p)
     p.add_argument("--shape", type=_parse_shape, action="append",
                    help="extra CxHxW input shape to check (repeatable)")
     p.add_argument("--inject-corruption", action="store_true",
                    help="corrupt one transformed weight; the run must then fail")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("convolve", help="run one convolution layer")
+    p = command("convolve", cmd_convolve, "run one convolution layer")
     common(p)
     p.add_argument("--mode", choices=["direct", "dense", "sparse"], default="dense")
     p.add_argument("--shape", type=_parse_shape, help="synthetic input CxHxW (default 3x16x16)")
@@ -275,16 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="input tensor container (CxHxW)")
     p.add_argument("--filters", help="filter tensor container (KxCxrxr)")
     p.add_argument("--out", default="out.tensor")
-    p.set_defaults(func=cmd_convolve)
 
-    p = sub.add_parser("compress", help="transform, prune, and BCOO-encode filters")
+    p = command("compress", cmd_compress, "transform, prune, and BCOO-encode filters")
     common(p)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--c", type=int, default=8)
     p.add_argument("--sparsity", type=float, default=0.7)
     p.add_argument("--filters", help="filter tensor container (KxCxrxr)")
     p.add_argument("--out", default="weights.bcoo")
-    p.set_defaults(func=cmd_compress)
 
     def sim_common(p):
         p.add_argument("--spec", default="vgg16", help="network config path or 'vgg16'")
@@ -295,15 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fifo-depth", type=int, default=sim.ArchConfig.fifo_depth)
         p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
 
-    p = sub.add_parser("simulate", help="simulate layers on the systolic model, emit CSV")
+    p = command("simulate", cmd_simulate, "simulate layers on the systolic model, emit CSV")
     common(p)
     sim_common(p)
     p.add_argument("--sparsity", type=float, default=0.0)
-    p.set_defaults(func=cmd_simulate)
 
-    # No abbreviations here: `--m` would otherwise silently mean `--m-values`.
-    p = sub.add_parser("dse", help="analytical + simulated design-space sweep, emit CSV",
-                       allow_abbrev=False)
+    p = command("dse", cmd_dse, "analytical + simulated design-space sweep, emit CSV")
     common(p, plan=False)  # m comes from --m-values, r from each layer
     sim_common(p)
     p.add_argument("--m-values", type=_parse_int_list, default=[2], dest="m_values")
@@ -316,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrected-transform-adds", action="store_true",
                    help="use the C-only/K-only transform-add variant")
     p.add_argument("--no-sim", action="store_true", help="skip the simulator columns")
-    p.set_defaults(func=cmd_dse)
 
     return ap
 

@@ -245,6 +245,15 @@ def matmul_trace(mb: int, nb: int, pb: int) -> tuple[np.ndarray, np.ndarray, np.
 _EXEC_CHUNK = 1 << 15
 
 
+def _block_grid(A, B: ZMortonMatrix) -> tuple[int, int, int]:
+    """Padded (row, inner, column) block extents of A times B; ValueError unless they conform."""
+    if A.l != B.l:
+        raise ValueError(f"block sides differ: {A.l} vs {B.l}")
+    if A.cols != B.rows:
+        raise ValueError(f"inner dimensions differ: {A.cols} vs {B.rows}")
+    return _block_extent(A.rows, A.l), _block_extent(A.cols, A.l), B.block_cols
+
+
 def _block_matmul(A, codes, stack, B: ZMortonMatrix, entries, rows_hit, counters, trace):
     """Block multiply of A, whose blocks `stack` sit at ascending Morton `codes`, by B.
 
@@ -252,11 +261,7 @@ def _block_matmul(A, codes, stack, B: ZMortonMatrix, entries, rows_hit, counters
     block present.  Per output block, np.add.at applies the addends in
     schedule order, which keeps the accumulation deterministic.
     """
-    if A.l != B.l:
-        raise ValueError(f"block sides differ: {A.l} vs {B.l}")
-    if A.cols != B.rows:
-        raise ValueError(f"inner dimensions differ: {A.cols} vs {B.rows}")
-    cc, aa, bb = matmul_trace(_block_extent(A.rows, A.l), _block_extent(A.cols, A.l), B.block_cols)
+    cc, aa, bb = matmul_trace(*_block_grid(A, B))
     ranks = np.searchsorted(codes, aa)
     # A sentinel past the last code: codes are >= 0, so an absent code never matches.
     present = np.append(codes, -1)[ranks] == aa

@@ -83,23 +83,24 @@ def tile_count(layer: LayerSpec, m: int) -> int:
     return th * tw
 
 
-def volumes(layer: LayerSpec, m: int, r: int | None = None) -> tuple[int, int, int]:
+def volumes(layer: LayerSpec, m: int) -> tuple[int, int, int]:
     """Exact (D_wi, D_wo, D_wk) for one layer."""
-    r = layer.r if r is None else r
-    l = m + r - 1
+    l = m + layer.r - 1
     t = tile_count(layer, m)
     return t * layer.C * l * l, t * layer.K * l * l, layer.C * layer.K * l * l
 
 
-def mult_count(layer: LayerSpec, m: int, r: int | None = None) -> int:
+def mult_count(layer: LayerSpec, m: int) -> int:
     """M_W: every transformed input entry meets each of the K filters once."""
-    return volumes(layer, m, r)[0] * layer.K
+    return volumes(layer, m)[0] * layer.K
 
 
 def add_counts(
     layer: LayerSpec, plan: WinogradPlan, corrected_transform_adds: bool = False
 ) -> tuple[int, int, int]:
     """(S_W, S_B, S_A); set the flag for the C-only / K-only transform variant."""
+    if plan.r != layer.r:
+        raise ValueError(f"{layer.name}: filter width {layer.r} != plan r={plan.r}")
     l, m = plan.l, plan.m
     t = tile_count(layer, m)
     nnz_b = int(np.count_nonzero(plan.Bt))
@@ -120,9 +121,8 @@ def energy(
     ep: EnergyParams,
     corrected_transform_adds: bool = False,
 ) -> float:
-    d_wi, d_wo, d_wk = volumes(layer, plan.m, plan.r)
-    m_w = mult_count(layer, plan.m, plan.r)
-    return _energy(ep, d_wi, d_wo, d_wk, m_w, sum(add_counts(layer, plan, corrected_transform_adds)))
+    adds = sum(add_counts(layer, plan, corrected_transform_adds))
+    return _energy(ep, *volumes(layer, plan.m), mult_count(layer, plan.m), adds)
 
 
 def _energy(ep: EnergyParams, d_wi, d_wo, d_wk, m_w, adds) -> float:
@@ -275,8 +275,8 @@ def dse_sweep(
                 plans[key] = make_plan(*key)
             lplan = plans[key]
             lcfg = replace(cfg, l=lplan.l)
-            d_wi, d_wo, d_wk = volumes(layer, m, layer.r)
-            m_w = mult_count(layer, m, layer.r)
+            d_wi, d_wo, d_wk = volumes(layer, m)
+            m_w = mult_count(layer, m)
             s_w, s_b, s_a = add_counts(layer, lplan, corrected_transform_adds)
             for s in sparsities:
                 surviving = 1.0 - s

@@ -34,12 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bcoo import BcooMatrix
-from .engine import (
-    LayerSpec,
-    block_matmul_sparse,
-    matmul_streams,
-    recursive_matmul,
-)
+from .engine import LayerSpec, _block_grid, matmul_streams
 from .layout import ZMortonMatrix, _block_extent, _grid_codes
 from .plans import WinogradPlan
 
@@ -96,10 +91,8 @@ class SimReport:
 
     total_cycles: int = 0
     external_block_fetches: int = 0
-    local_block_fetches: int = 0
     block_matmuls_executed: int = 0
     busy_cycles: list = field(default_factory=list)
-    bandwidth_reduction_factor: float = 1.0
     operand_slots: int = 0
     steps_executed: int = 0
     decompress_stall_cycles: int = 0
@@ -111,10 +104,29 @@ class SimReport:
     step_distinct: list | None = None
 
     @property
+    def local_block_fetches(self) -> int:
+        return self.operand_slots - self.external_block_fetches
+
+    @property
+    def bandwidth_reduction_factor(self) -> float:
+        ext = self.external_block_fetches
+        return self.operand_slots / ext if ext else 1.0
+
+    @property
     def utilization(self) -> float:
         if not self.busy_cycles or self.total_cycles == 0:
             return 0.0
         return sum(self.busy_cycles) / (len(self.busy_cycles) * self.total_cycles)
+
+
+# SimReport counters that add up: a layer's value is the sum over its l*l positions
+_ADDITIVE_FIELDS = (
+    "external_block_fetches",
+    "block_matmuls_executed",
+    "operand_slots",
+    "steps_executed",
+    "decompress_stall_cycles",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +234,8 @@ def _run_cluster_schedule(
     return SimReport(
         total_cycles=total,
         external_block_fetches=ext,
-        local_block_fetches=slots - ext,
         block_matmuls_executed=macs,
         busy_cycles=busy,
-        bandwidth_reduction_factor=slots / ext if ext else 1.0,
         operand_slots=slots,
         steps_executed=steps,
         decompress_stall_cycles=stall,
@@ -235,33 +245,25 @@ def _run_cluster_schedule(
     )
 
 
-def _simulate_cluster(product, U, V: ZMortonMatrix, cfg: ArchConfig, weights, collect_steps):
-    """(report, product) for U times V; the product's operand checks have run."""
-    streams = matmul_streams(_block_extent(U.rows, U.l), _block_extent(U.cols, U.l), V.block_cols)
-    return _run_cluster_schedule(streams, cfg, weights, collect_steps), product
-
-
 def simulate_cluster_dense(
     U: ZMortonMatrix, V: ZMortonMatrix, cfg: ArchConfig, collect_steps: bool = False
-):
-    """Run one cluster over a dense block multiply.
-
-    Returns (SimReport, product ZMortonMatrix); the product is numerically
-    identical to recursive_matmul on the same operands.
-    """
-    return _simulate_cluster(recursive_matmul(U, V), U, V, cfg, None, collect_steps)
+) -> SimReport:
+    """Price one cluster running U times V; engine.recursive_matmul computes the product."""
+    return _run_cluster_schedule(matmul_streams(*_block_grid(U, V)), cfg, None, collect_steps)
 
 
 def simulate_cluster_sparse(
     U: BcooMatrix, V: ZMortonMatrix, cfg: ArchConfig, collect_steps: bool = False
-):
-    """Run one cluster over a sparse-weight block multiply.
+) -> SimReport:
+    """Price one cluster running sparse-weight U times V; engine.block_matmul_sparse multiplies.
 
     Only products whose weight block exists are scheduled; the memory
-    access pattern follows the distribution of the stored blocks.
+    access pattern follows the distribution of the stored blocks.  Raises
+    BcooFormatError unless U is a well-formed BCOO matrix.
     """
-    product = block_matmul_sparse(U, V)
-    return _simulate_cluster(product, U, V, cfg, (U.bn, np.diff(U.bi)), collect_steps)
+    U.validate()
+    streams = matmul_streams(*_block_grid(U, V))
+    return _run_cluster_schedule(streams, cfg, (U.bn, np.diff(U.bi)), collect_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -349,32 +351,19 @@ def _simulate_geometry(
 
     cluster_cycles = [0] * cfg.clusters
     busy = [0] * (cfg.clusters * 4)
-    ext = loc = slots = macs = steps = stall = 0
     for pos, rep in enumerate(reps):
         cluster = pos % cfg.clusters
         cluster_cycles[cluster] += rep.total_cycles
         for q, b in enumerate(rep.busy_cycles):
             busy[cluster * 4 + q] += b
-        ext += rep.external_block_fetches
-        loc += rep.local_block_fetches
-        slots += rep.operand_slots
-        macs += rep.block_matmuls_executed
-        steps += rep.steps_executed
-        stall += rep.decompress_stall_cycles
 
     matmul_stage = max(cluster_cycles)
     t_in = simulate_transform(C * P, cfg)
     t_out = simulate_transform(K * P, cfg)
     return SimReport(
         total_cycles=t_in.total_cycles + matmul_stage + t_out.total_cycles,
-        external_block_fetches=ext,
-        local_block_fetches=loc,
-        block_matmuls_executed=macs,
         busy_cycles=busy,
-        bandwidth_reduction_factor=slots / ext if ext else 1.0,
-        operand_slots=slots,
-        steps_executed=steps,
-        decompress_stall_cycles=stall,
+        **{f: sum(getattr(rep, f) for rep in reps) for f in _ADDITIVE_FIELDS},
         transform_cycles=t_in.total_cycles,
         matmul_cycles=matmul_stage,
         inverse_cycles=t_out.total_cycles,
@@ -385,7 +374,7 @@ def _simulate_geometry(
 # ---------------------------------------------------------------------------
 # CSV emission
 
-# CSV column -> SimReport field, after the layer, m and sparsity columns
+# CSV column -> SimReport attribute, after the layer, m and sparsity columns
 _CSV_COLUMNS = {
     "cycles": "total_cycles",
     "ext_fetches": "external_block_fetches",

@@ -189,7 +189,7 @@ def test_c08_cluster_fetch_sharing():
     rng = np.random.default_rng(5)
     A = to_zmorton(rng.uniform(-1, 1, (16, 16)), 4)
     B = to_zmorton(rng.uniform(-1, 1, (16, 16)), 4)
-    rep, _ = simulate_cluster_dense(A, B, ArchConfig(), collect_steps=True)
+    rep = simulate_cluster_dense(A, B, ArchConfig(), collect_steps=True)
     # per step: four arrays need eight operand blocks, four distinct (2x)
     assert all(s == 8 for s in rep.step_slots)
     assert all(d == 4 for d in rep.step_distinct)

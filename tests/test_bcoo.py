@@ -195,6 +195,16 @@ def test_validate_does_not_build_the_block_grid():
     assert peak < 1 << 20
 
 
+def test_validate_requires_row_major_order_within_a_block():
+    # one block listing (1, 0) before (0, 0), and one listing (0, 3) before (0, 1)
+    for ai, aj in (([1, 0], [0, 0]), ([0, 0], [3, 1])):
+        rec = _record(4, 4, 4, bn=[0], bi=[0, 2], ai=ai, aj=aj, an=[1.0, 2.0])
+        with pytest.raises(BcooFormatError, match="out-of-order"):
+            bcoo_from_bytes(bcoo_to_bytes(rec))
+    # the order starts afresh in each block
+    _record(8, 8, 4, bn=[0, 1], bi=[0, 1, 2], ai=[3, 0], aj=[3, 0], an=[1.0, 2.0]).validate()
+
+
 def test_validate_rejects_grid_past_morton_axis():
     with pytest.raises(BcooFormatError):
         bcoo_from_bytes(bcoo_to_bytes(_record(1 << 17, 4, 1)))

@@ -165,6 +165,22 @@ def test_dse_has_no_plan_flags(flag):
         cli.build_parser().parse_args(["dse", flag, "4"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--he", "verify"],
+    ["verify", "--inject"],
+    ["convolve", "--mo", "direct"],
+    ["compress", "--spars", "0.5"],
+    ["simulate", "--spars", "0.9"],
+    ["dse", "--sparsit", "0.5"],
+])
+def test_no_parser_accepts_an_abbreviated_flag(argv, capsys):
+    # a flag added later that shares a prefix must not change what an old command line means
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bad_shape_rejected():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["verify", "--shape", "banana"])

@@ -79,6 +79,16 @@ def test_add_counts_corrected_variant(plan):
     assert s_a == s_a_c * layer.C
 
 
+def test_model_rejects_plan_for_other_filter_width():
+    # F(2, 5) has l = 6, which does not go with the r = 3 layer's tile count
+    layer = LayerSpec("conv_t", H=8, W=8, C=4, K=4, r=3, pad=1)
+    plan5 = make_plan(2, 5)
+    with pytest.raises(ValueError, match="conv_t: filter width"):
+        add_counts(layer, plan5)
+    with pytest.raises(ValueError, match="conv_t: filter width"):
+        energy(layer, plan5, EnergyParams())
+
+
 def test_counters_match_formulas_many_geometries(plan):
     rng = np.random.default_rng(0)
     for i in range(20):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from winosim.bcoo import bcoo_encode
-from winosim.engine import LayerSpec, matmul_streams, recursive_matmul
-from winosim.layout import _grid_codes, from_zmorton, to_zmorton
+from test_engine import _malformed_records
+from winosim.bcoo import BcooFormatError, bcoo_encode
+from winosim.engine import LayerSpec, matmul_streams
+from winosim.layout import _grid_codes, to_zmorton
 from winosim.plans import make_plan
 from winosim.sim import (
     ArchConfig,
@@ -132,10 +133,8 @@ def _reference_run_cluster_schedule(
     return SimReport(
         total_cycles=total,
         external_block_fetches=ext,
-        local_block_fetches=slots - ext,
         block_matmuls_executed=macs,
         busy_cycles=busy,
-        bandwidth_reduction_factor=slots / ext if ext else 1.0,
         operand_slots=slots,
         steps_executed=steps,
         decompress_stall_cycles=stall,
@@ -207,7 +206,7 @@ def test_cluster_dense_16x16_fetch_sharing(cfg):
     rng = np.random.default_rng(1)
     A = rng.uniform(-1, 1, (16, 16))
     B = rng.uniform(-1, 1, (16, 16))
-    rep, out = simulate_cluster_dense(to_zmorton(A, 4), to_zmorton(B, 4), cfg, collect_steps=True)
+    rep = simulate_cluster_dense(to_zmorton(A, 4), to_zmorton(B, 4), cfg, collect_steps=True)
     # every step: eight operand slots served by four distinct blocks
     assert all(s == 8 for s in rep.step_slots)
     assert all(d == 4 for d in rep.step_distinct)
@@ -217,14 +216,13 @@ def test_cluster_dense_16x16_fetch_sharing(cfg):
     assert rep.external_block_fetches == 32
     assert rep.operand_slots == 128
     assert rep.bandwidth_reduction_factor == 4.0
-    assert np.array_equal(from_zmorton(out), from_zmorton(recursive_matmul(to_zmorton(A, 4), to_zmorton(B, 4))))
 
 
 def test_cluster_dense_single_block(cfg):
     rng = np.random.default_rng(2)
     U = to_zmorton(np.eye(4), 4)
     V = to_zmorton(rng.uniform(-1, 1, (4, 4)), 4)
-    rep, out = simulate_cluster_dense(U, V, cfg)
+    rep = simulate_cluster_dense(U, V, cfg)
     assert rep.busy_cycles == [4, 0, 0, 0]  # one array busy, three idle
     assert rep.total_cycles == 6 + 4
     assert rep.block_matmuls_executed == 1
@@ -234,9 +232,7 @@ def test_cluster_dense_functional_fidelity(cfg):
     rng = np.random.default_rng(3)
     A = rng.uniform(-1, 1, (24, 12))
     B = rng.uniform(-1, 1, (12, 20))
-    rep, out = simulate_cluster_dense(to_zmorton(A, 4), to_zmorton(B, 4), cfg)
-    want = recursive_matmul(to_zmorton(A, 4), to_zmorton(B, 4))
-    assert np.array_equal(from_zmorton(out), from_zmorton(want))
+    rep = simulate_cluster_dense(to_zmorton(A, 4), to_zmorton(B, 4), cfg)
     assert rep.block_matmuls_executed == 8 * 4 * 8  # padded block grid product
 
 
@@ -244,14 +240,35 @@ def test_cluster_dense_determinism(cfg):
     rng = np.random.default_rng(4)
     A = to_zmorton(rng.uniform(-1, 1, (16, 16)), 4)
     B = to_zmorton(rng.uniform(-1, 1, (16, 16)), 4)
-    r1, _ = simulate_cluster_dense(A, B, cfg)
-    r2, _ = simulate_cluster_dense(A, B, cfg)
+    r1 = simulate_cluster_dense(A, B, cfg)
+    r2 = simulate_cluster_dense(A, B, cfg)
     assert r1 == r2
 
 
 def test_cluster_dimension_mismatch(cfg):
     with pytest.raises(ValueError):
         simulate_cluster_dense(to_zmorton(np.eye(4), 4), to_zmorton(np.ones((8, 8)), 4), cfg)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("U, V, message", [
+    (np.ones((8, 8)), to_zmorton(np.ones((8, 8)), 2), "block sides differ"),
+    (np.ones((8, 4)), to_zmorton(np.ones((8, 8)), 4), "inner dimensions differ"),
+], ids=["block sides", "inner dimensions"])
+def test_cluster_rejects_nonconforming_operands(cfg, sparse, U, V, message):
+    U = to_zmorton(U, 4)
+    with pytest.raises(ValueError, match=message):
+        if sparse:
+            simulate_cluster_sparse(bcoo_encode(U), V, cfg)
+        else:
+            simulate_cluster_dense(U, V, cfg)
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_records()))
+def test_cluster_sparse_rejects_malformed_operand(cfg, case):
+    V = to_zmorton(np.random.default_rng(24).uniform(-1, 1, (8, 8)), 4)
+    with pytest.raises(BcooFormatError):
+        simulate_cluster_sparse(_malformed_records()[case], V, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +279,20 @@ def test_cluster_sparse_fully_dense_consistency(cfg):
     rng = np.random.default_rng(5)
     A = rng.uniform(0.1, 1.0, (16, 16))  # no accidental zeros
     B = rng.uniform(-1, 1, (16, 16))
-    dense_rep, dense_out = simulate_cluster_dense(to_zmorton(A, 4), to_zmorton(B, 4), cfg)
-    rep, out = simulate_cluster_sparse(bcoo_encode(to_zmorton(A, 4)), to_zmorton(B, 4), cfg)
+    dense_rep = simulate_cluster_dense(to_zmorton(A, 4), to_zmorton(B, 4), cfg)
+    rep = simulate_cluster_sparse(bcoo_encode(to_zmorton(A, 4)), to_zmorton(B, 4), cfg)
     assert rep.total_cycles == dense_rep.total_cycles + rep.decompress_stall_cycles
     assert rep.external_block_fetches == dense_rep.external_block_fetches
     assert rep.local_block_fetches == dense_rep.local_block_fetches
     assert rep.block_matmuls_executed == dense_rep.block_matmuls_executed
-    assert np.array_equal(from_zmorton(out), from_zmorton(dense_out))
 
 
 def test_cluster_sparse_empty(cfg):
     U = bcoo_encode(to_zmorton(np.zeros((16, 16)), 4))
     V = to_zmorton(np.random.default_rng(6).uniform(-1, 1, (16, 16)), 4)
-    rep, out = simulate_cluster_sparse(U, V, cfg)
+    rep = simulate_cluster_sparse(U, V, cfg)
     assert rep.block_matmuls_executed == 0
     assert rep.total_cycles == 0
-    assert np.array_equal(from_zmorton(out), np.zeros((16, 16)))
 
 
 def test_cluster_sparse_two_blocks_schedule(cfg):
@@ -287,10 +302,8 @@ def test_cluster_sparse_two_blocks_schedule(cfg):
     A[4:8, 0:4] = 1.0  # morton 2
     A[0:4, 12:16] = 2.0  # morton 5
     V = to_zmorton(np.random.default_rng(7).uniform(-1, 1, (16, 16)), 4)
-    rep, out = simulate_cluster_sparse(bcoo_encode(to_zmorton(A, 4)), V, cfg)
+    rep = simulate_cluster_sparse(bcoo_encode(to_zmorton(A, 4)), V, cfg)
     assert rep.block_matmuls_executed == 8
-    want = from_zmorton(recursive_matmul(to_zmorton(A, 4), V))
-    assert np.array_equal(from_zmorton(out), want)
     # the weight block is shared by the two arrays of its row band per step
     assert rep.external_block_fetches < 2 * rep.block_matmuls_executed
 
@@ -306,7 +319,7 @@ def test_cluster_sparse_monotone_in_density(cfg):
         for idx in order[:keep]:
             r, c = divmod(int(idx), 8)
             A[r * 4 : r * 4 + 4, c * 4 : c * 4 + 4] = values[r * 4 : r * 4 + 4, c * 4 : c * 4 + 4]
-        rep, _ = simulate_cluster_sparse(bcoo_encode(to_zmorton(A, 4)), B, cfg)
+        rep = simulate_cluster_sparse(bcoo_encode(to_zmorton(A, 4)), B, cfg)
         cycles.append(rep.total_cycles)
     assert all(a >= b for a, b in zip(cycles, cycles[1:]))
 
@@ -316,7 +329,7 @@ def test_cluster_sparse_serial_decompress_when_shallow_fifo():
     rng = np.random.default_rng(9)
     A = rng.uniform(0.1, 1.0, (8, 8))
     B = to_zmorton(rng.uniform(-1, 1, (8, 8)), 4)
-    rep, _ = simulate_cluster_sparse(bcoo_encode(to_zmorton(A, 4)), B, cfg1)
+    rep = simulate_cluster_sparse(bcoo_encode(to_zmorton(A, 4)), B, cfg1)
     # every external fetch decompresses serially: nnz * 1 cycle each
     assert rep.decompress_stall_cycles == rep.external_block_fetches // 2 * 16
 
