@@ -1,8 +1,13 @@
 """Byte-identity guard: pinned digests of CLI outputs and BCOO containers.
 
-Refactors and speed-ups of the simulator, the analytical model or the
-block codec must leave these outputs byte for byte unchanged.  A digest
-changes only in a change that declares itself a model or format change.
+Refactors and speed-ups of the simulator, the analytical model, the
+block codec or the convolution paths must leave these outputs byte for
+byte unchanged.  The `convolve` digests pin the dense and sparse Winograd
+numerics: the tile transforms, the batched GEMM and the inverse transform.
+Floating-point sums depend on evaluation order, and numpy's einsum and
+matmul order their sums by the operands' memory layout, so a change of
+memory order alone can move these digests.  A digest changes only in a
+change that declares itself a model or format change.
 """
 
 import hashlib
@@ -82,11 +87,25 @@ def _sha256(data: bytes) -> str:
             ["convolve", "--mode", "sparse", "--sparsity", "0.9", "--shape", "64x16x16", "--k", "64"],
             "d27bc394dfca9f42d17f5b1d0919cad7bba6e8e6bcaf45c2158113a5a36c0575",
         ),
+        (
+            ["convolve", "--mode", "dense", "--m", "2"],
+            "d68b619a57b92cdba246727db3539bc7da39b404f0264f444e9976c9dedc030d",
+        ),
+        (
+            ["convolve", "--mode", "dense", "--m", "4", "--shape", "8x18x18", "--k", "8"],
+            "30c09174b1f9d700002b2f414a7cc73487c84edff65f6da813b448b62c23f753",
+        ),
+        (
+            ["convolve", "--mode", "sparse", "--m", "4", "--sparsity", "0.7", "--shape", "8x18x18",
+             "--k", "8"],
+            "97dbb29e1f65f4abcf8371f1ec98d5dc18f0706152c6b5356795b4e062c8fcc9",
+        ),
     ],
     ids=["simulate-dense", "simulate-sparse", "dse", "simulate-fifo1", "simulate-fifo1-sparse",
          "simulate-fifo3-clusters3-sparse", "dse-m3-fifo2", "dse-corrected-adds", "dse-no-sim",
          "dse-seed7-clusters3", "compress-k64-c64-sparse", "convolve-sparse",
-         "convolve-sparse-64x16x16-k64"],
+         "convolve-sparse-64x16x16-k64", "convolve-dense-m2", "convolve-dense-m4-8x18x18-k8",
+         "convolve-sparse-m4-8x18x18-k8"],
 )
 def test_cli_csv_digest(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
