@@ -90,7 +90,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Convolution layer geometry.  The Winograd path requires stride 1."""
+    """Stride-1 convolution layer geometry."""
 
     name: str
     H: int
@@ -99,7 +99,6 @@ class LayerSpec:
     K: int
     r: int = 3
     pad: int = 1
-    stride: int = 1
 
     def __post_init__(self):
         if min(self.H, self.W, self.C, self.K) < 1:
@@ -112,7 +111,7 @@ class LayerSpec:
             raise ValueError(f"{self.name}: {exc}") from None
 
     def _out_extent(self) -> tuple[int, int]:
-        return _output_extent(self.H, self.W, self.r, self.pad, self.stride)
+        return _output_extent(self.H, self.W, self.r, self.pad)
 
     @property
     def out_h(self) -> int:

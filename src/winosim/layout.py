@@ -36,6 +36,8 @@ __all__ = [
 
 _AXIS_BITS = 16
 _AXIS_LIMIT = 1 << _AXIS_BITS
+# Entries of one padded Z-Morton grid (2 GiB of float64).
+_GRID_LIMIT = 1 << 28
 
 
 def _spread_bits(v):
@@ -161,10 +163,16 @@ def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
 
 
 def zmorton_zeros(rows: int, cols: int, l: int) -> ZMortonMatrix:
+    """An all-zero rows-by-cols matrix; ValueError if its padded grid exceeds _GRID_LIMIT entries."""
     if l < 1:
         raise ValueError("block side must be >= 1")
     nbr = _block_extent(rows, l)
     nbc = _block_extent(cols, l)
+    if nbr * nbc * l * l > _GRID_LIMIT:
+        raise ValueError(
+            f"{nbr}x{nbc} grid of {l}x{l} blocks holds {nbr * nbc * l * l} entries, "
+            f"over the limit of 2**{_GRID_LIMIT.bit_length() - 1}"
+        )
     codes = _grid_codes(nbr, nbc)
     return ZMortonMatrix(
         rows=rows, cols=cols, l=l, block_codes=codes, blocks=np.zeros((len(codes), l, l))
@@ -188,11 +196,17 @@ def _tile_counts(out_h: int, out_w: int, m: int) -> tuple[int, int]:
     return tuple(-(-n // m) for n in (out_h, out_w))
 
 
+def _position_major(tiles: np.ndarray) -> np.ndarray:
+    """Contiguous (l, l, ...) copy of a (..., l, l) tile stack; free if already position-major."""
+    return np.ascontiguousarray(np.moveaxis(tiles, (-2, -1), (0, 1)))
+
+
 def extract_tiles(fm: np.ndarray, plan: WinogradPlan, pad: int = 0) -> np.ndarray:
     """Overlapped l-by-l tiles at stride m over the zero-padded input.
 
-    Returns an array of shape (C, tiles_h, tiles_w, l, l).  Adjacent tiles
-    overlap by r - 1; reads past the padded input are zero.
+    Returns shape (C, tiles_h, tiles_w, l, l), a view over position-major
+    (l, l, C, tiles_h, tiles_w) memory.  Adjacent tiles overlap by r - 1;
+    reads past the padded input are zero.
     """
     fm = np.asarray(fm, dtype=float)
     C, H, W = fm.shape
@@ -201,12 +215,19 @@ def extract_tiles(fm: np.ndarray, plan: WinogradPlan, pad: int = 0) -> np.ndarra
     padded = np.zeros((C, (th - 1) * m + l, (tw - 1) * m + l))
     padded[:, pad : pad + H, pad : pad + W] = fm
     win = np.lib.stride_tricks.sliding_window_view(padded, (l, l), axis=(1, 2))
-    return np.ascontiguousarray(win[:, ::m, ::m][:, :th, :tw])
+    return np.moveaxis(_position_major(win[:, ::m, ::m][:, :th, :tw]), (0, 1), (-2, -1))
 
 
 def transform_tiles(plan: WinogradPlan, tiles: np.ndarray) -> np.ndarray:
-    """Apply Bt . d . Bt.T to every tile in a (..., l, l) stack."""
-    return np.einsum("ab,...bd,ed->...ae", plan.Bt, tiles, plan.Bt)
+    """Apply Bt . d . Bt.T to every tile in a (..., l, l) stack.
+
+    Returns a (..., l, l) view over position-major memory.  The einsum
+    always runs on a contiguous position-major copy: einsum orders its
+    sums by the operands' memory order, so the same subscripts over the
+    strided sliding-window view were slower and not byte-identical.
+    """
+    out = np.einsum("ab,bd...,ed->ae...", plan.Bt, _position_major(tiles), plan.Bt)
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 @dataclass
@@ -250,7 +271,7 @@ def _filter_stack(filters: np.ndarray, plan: WinogradPlan) -> np.ndarray:
         raise ValueError(f"filter width {r}x{r2} != plan r={plan.r}")
     if K < 1 or C < 1:
         raise ValueError(f"filter bank needs K, C >= 1, got K={K}, C={C}")
-    u = np.einsum("ab,kcbd,ed->aekc", plan.G, filters, plan.G)
+    u = np.einsum("ab,bdkc,ed->aekc", plan.G, _position_major(filters), plan.G)
     return u.reshape(plan.l * plan.l, K, C)
 
 
@@ -278,8 +299,8 @@ def assemble_output(
     P = mats.shape[3]
     if mats.shape != (l, l, K, P) or P != th * tw:
         raise ValueError("product matrices inconsistent with output geometry")
-    tiles = np.einsum("ab,bdkp,ed->kpae", plan.At, mats, plan.At)
+    tiles = np.einsum("ab,bdkp,ed->aekp", plan.At, mats, plan.At)
     if counters is not None:
         counters.inverse_transforms += K * P
-    tiles = tiles.reshape(K, th, tw, m, m).transpose(0, 1, 3, 2, 4)
+    tiles = tiles.reshape(m, m, K, th, tw).transpose(2, 3, 0, 4, 1)
     return np.ascontiguousarray(tiles.reshape(K, th * m, tw * m)[:, :out_h, :out_w])

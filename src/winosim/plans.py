@@ -1,4 +1,4 @@
-"""Winograd convolution plans and tile-level transforms.
+"""Winograd convolution plans.
 
 A plan F(m, r) computes m outputs of an r-tap correlation per tile with
 l = m + r - 1 element-wise multiplications instead of m * r.  It carries
@@ -15,7 +15,8 @@ and satisfies the tile identities
 
 where d is an input tile of side l, g a filter tile of side r, and y/Y the
 m valid correlation outputs.  All arithmetic is double precision and uses
-the correlation convention (no kernel flip).
+the correlation convention (no kernel flip).  `winosim.layout` applies the
+2-D transforms to whole tile and filter stacks.
 
 The (2, 3) plan is the classic hand-derived one with entries in
 {0, +-1, +-1/2}.  Other plans are built by Toom-Cook interpolation at the
@@ -34,9 +35,6 @@ __all__ = [
     "make_plan",
     "winograd_1d",
     "direct_correlate_1d",
-    "transform_input_tile",
-    "transform_filter",
-    "inverse_transform",
 ]
 
 
@@ -207,29 +205,3 @@ def winograd_1d(plan: WinogradPlan, d, g, counters: OpCounters | None = None) ->
     if counters is not None:
         counters.multiplies += plan.l
     return plan.At @ prod
-
-
-def transform_input_tile(plan: WinogradPlan, d) -> np.ndarray:
-    """Bt @ d @ Bt.T for a single l-by-l input tile."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (plan.l, plan.l):
-        raise ValueError(f"input tile shape {d.shape} != ({plan.l}, {plan.l})")
-    return plan.Bt @ d @ plan.Bt.T
-
-
-def transform_filter(plan: WinogradPlan, g) -> np.ndarray:
-    """G @ g @ G.T for a single r-by-r filter tile."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (plan.r, plan.r):
-        raise ValueError(f"filter tile shape {g.shape} != ({plan.r}, {plan.r})")
-    return plan.G @ g @ plan.G.T
-
-
-def inverse_transform(plan: WinogradPlan, M, counters: OpCounters | None = None) -> np.ndarray:
-    """At @ M @ At.T, reducing an l-by-l product tile to the m-by-m output."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (plan.l, plan.l):
-        raise ValueError(f"product tile shape {M.shape} != ({plan.l}, {plan.l})")
-    if counters is not None:
-        counters.inverse_transforms += 1
-    return plan.At @ M @ plan.At.T

@@ -308,6 +308,13 @@ def test_duplicate_test_survives_a_key_past_int64():
         bcoo_from_bytes(bcoo_to_bytes(repeated))
 
 
+def test_decode_refuses_a_grid_too_large_to_allocate():
+    # the header admits any l >= 1; the decode names the grid it cannot build
+    mat, _ = bcoo_from_bytes(bcoo_to_bytes(_record(1, 1, 1 << 56)))
+    with pytest.raises(ValueError, match=r"1x1 grid of \d+x\d+ blocks"):
+        bcoo_decode(mat)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     code=st.one_of(st.integers(-8, 300), st.sampled_from([-(1 << 63), 1 << 32, 1 << 40, (1 << 63) - 1])),

@@ -480,6 +480,12 @@ def test_direct_conv_rejects_negative_pad():
         direct_conv(np.ones((1, 6, 6)), np.ones((1, 1, 3, 3)), pad=-1)
 
 
+def test_layer_spec_has_no_stride():
+    # the Winograd path is stride 1 only; direct_conv keeps its stride for the oracle
+    with pytest.raises(TypeError):
+        LayerSpec("conv", 8, 8, 1, 1, stride=2)
+
+
 def test_direct_conv_rejects_zero_stride():
     with pytest.raises(ValueError, match="stride must be >= 1"):
         direct_conv(np.ones((1, 6, 6)), np.ones((1, 1, 3, 3)), stride=0)

@@ -5,7 +5,10 @@ import hypothesis.strategies as st
 
 from winosim.layout import (
     _block_extent,
+    _filter_stack,
     _grid_codes,
+    _output_extent,
+    _tile_counts,
     assemble_output,
     extract_tiles,
     from_zmorton,
@@ -214,12 +217,99 @@ def test_assemble_output_counts_inverse_transforms(plan):
 
 
 def test_transform_tiles_matches_single(plan):
-    from winosim.plans import transform_input_tile
-
     rng = np.random.default_rng(6)
     tiles = rng.uniform(-1, 1, (3, 1, 2, 4, 4))
     batch = transform_tiles(plan, tiles)
     for idx in np.ndindex(3, 1, 2):
-        assert np.allclose(
-            batch[idx], transform_input_tile(plan, tiles[idx]), rtol=0, atol=1e-15
-        )
+        assert np.allclose(batch[idx], plan.Bt @ tiles[idx] @ plan.Bt.T, rtol=0, atol=1e-15)
+
+
+def test_zmorton_zeros_refuses_oversized_grid():
+    with pytest.raises(ValueError, match=r"1x1 grid of 16385x16385 blocks"):
+        zmorton_zeros(1, 1, 16385)
+    with pytest.raises(ValueError, match=r"32768x32768 grid of 1x1 blocks"):
+        zmorton_zeros(20000, 32768, 1)
+
+
+# Tile-major references: the transforms as written before the position-major
+# layout.  Each stage must reproduce them byte for byte.
+
+
+def _ref_extract_tiles(fm, plan, pad):
+    C, H, W = fm.shape
+    m, l = plan.m, plan.l
+    th, tw = _tile_counts(*_output_extent(H, W, plan.r, pad), m)
+    padded = np.zeros((C, (th - 1) * m + l, (tw - 1) * m + l))
+    padded[:, pad : pad + H, pad : pad + W] = fm
+    win = np.lib.stride_tricks.sliding_window_view(padded, (l, l), axis=(1, 2))
+    return np.ascontiguousarray(win[:, ::m, ::m][:, :th, :tw])
+
+
+def _ref_transform_tiles(plan, tiles):
+    return np.einsum("ab,...bd,ed->...ae", plan.Bt, tiles, plan.Bt)
+
+
+def _ref_filter_stack(filters, plan):
+    K, C = filters.shape[:2]
+    return np.einsum("ab,kcbd,ed->aekc", plan.G, filters, plan.G).reshape(plan.l**2, K, C)
+
+
+def _ref_assemble_output(mats, plan, K, out_h, out_w):
+    m = plan.m
+    th, tw = _tile_counts(out_h, out_w, m)
+    tiles = np.einsum("ab,bdkp,ed->kpae", plan.At, mats, plan.At)
+    tiles = tiles.reshape(K, th, tw, m, m).transpose(0, 1, 3, 2, 4)
+    return np.ascontiguousarray(tiles.reshape(K, th * m, tw * m)[:, :out_h, :out_w])
+
+
+def _bytes(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _position_major_view(a):
+    """The same values as `a` (..., n, n), over contiguous (n, n, ...) memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))), (0, 1), (-2, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 6),
+    C=st.integers(1, 12),
+    K=st.integers(1, 12),
+    H=st.integers(1, 20),
+    W=st.integers(1, 20),
+    pad=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transforms_byte_identical_to_tile_major_references(m, C, K, H, W, pad, seed):
+    plan = make_plan(m, 3)
+    l = plan.l
+    try:
+        out_h, out_w = _output_extent(H, W, 3, pad)
+    except ValueError:
+        return
+    rng = np.random.default_rng(seed)
+    fm = rng.uniform(-1, 1, (C, H, W))
+    filters = rng.uniform(-1, 1, (K, C, 3, 3))
+
+    tiles = extract_tiles(fm, plan, pad)
+    ref_tiles = _ref_extract_tiles(fm, plan, pad)
+    assert tiles.shape == ref_tiles.shape and _bytes(tiles) == ref_tiles.tobytes()
+    assert np.moveaxis(tiles, (-2, -1), (0, 1)).flags.c_contiguous
+
+    # Every memory order of the same tiles gives the bytes of the C-contiguous reference.
+    want = ref_tiles_t = _ref_transform_tiles(plan, ref_tiles)
+    for source in (tiles, ref_tiles, np.asfortranarray(ref_tiles)):
+        got = transform_tiles(plan, source)
+        assert got.shape == want.shape and _bytes(got) == _bytes(want)
+        assert np.moveaxis(got, (-2, -1), (0, 1)).flags.c_contiguous
+
+    want = _ref_filter_stack(filters, plan)
+    for source in (filters, _position_major_view(filters), np.asfortranarray(filters)):
+        assert _bytes(_filter_stack(source, plan)) == want.tobytes()
+
+    th, tw = ref_tiles_t.shape[1:3]
+    mats = rng.uniform(-1, 1, (l, l, K, th * tw))
+    for source in (mats, np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, (0, 1), (2, 3))), (2, 3), (0, 1))):
+        want = _ref_assemble_output(source, plan, K, out_h, out_w)
+        assert assemble_output(source, plan, K, out_h, out_w).tobytes() == want.tobytes()

@@ -3,15 +3,26 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from winosim.plans import (
-    OpCounters,
-    direct_correlate_1d,
-    inverse_transform,
-    make_plan,
-    transform_filter,
-    transform_input_tile,
-    winograd_1d,
-)
+from winosim.layout import _filter_stack, assemble_output, transform_tiles
+from winosim.plans import OpCounters, direct_correlate_1d, make_plan, winograd_1d
+
+
+# Per-tile forms of the 2-D transforms that winosim.layout applies to whole stacks.
+
+
+def transform_input_tile(plan, d):
+    """Bt @ d @ Bt.T for a single l-by-l input tile."""
+    return plan.Bt @ d @ plan.Bt.T
+
+
+def transform_filter(plan, g):
+    """G @ g @ G.T for a single r-by-r filter tile."""
+    return plan.G @ g @ plan.G.T
+
+
+def inverse_transform(plan, M):
+    """At @ M @ At.T, reducing an l-by-l product tile to the m-by-m output."""
+    return plan.At @ M @ plan.At.T
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +152,10 @@ def test_single_tile_pipeline_matches_direct_2d(plan23):
 
 
 def test_shape_errors(plan23):
+    # the batch transforms refuse tiles of the wrong side
     with pytest.raises(ValueError):
-        transform_input_tile(plan23, np.zeros((3, 3)))
+        transform_tiles(plan23, np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        transform_filter(plan23, np.zeros((4, 4)))
+        _filter_stack(np.zeros((1, 1, 4, 4)), plan23)
     with pytest.raises(ValueError):
-        inverse_transform(plan23, np.zeros((2, 2)))
+        assemble_output(np.zeros((2, 2, 1, 1)), plan23, 1, 2, 2)
