@@ -8,6 +8,10 @@ column (column bits in even positions, row bits in odd positions).
 
 Each axis is zero-padded so that the number of blocks along it is a power
 of two; padding never leaks into logical reads.
+
+Winograd tile stacks keep shape (..., l, l) but position-major memory: the
+l-by-l transform positions are the outermost axes from tile extraction to
+the inverse transform, so each per-position matrix is contiguous.
 """
 
 from __future__ import annotations
@@ -251,7 +255,8 @@ class TransformedBatch:
 def _input_stack(transformed_tiles: np.ndarray) -> np.ndarray:
     """Regroup transformed input tiles (C, th, tw, l, l) into an (l*l, C, P) stack.
 
-    Tile coordinates collapse row-major: b = x * tw + y.
+    Tile coordinates collapse row-major: b = x * tw + y.  A view when the
+    tiles are position-major, as transform_tiles returns them.
     """
     C, th, tw, l, _ = transformed_tiles.shape
     return transformed_tiles.transpose(3, 4, 0, 1, 2).reshape(l * l, C, th * tw)

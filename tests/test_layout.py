@@ -231,8 +231,8 @@ def test_zmorton_zeros_refuses_oversized_grid():
         zmorton_zeros(20000, 32768, 1)
 
 
-# Tile-major references: the transforms as written before the position-major
-# layout.  Each stage must reproduce them byte for byte.
+# Tile-major references: the same transforms with each tile's (l, l) or (r, r)
+# axes innermost in memory.  Each stage must reproduce them byte for byte.
 
 
 def _ref_extract_tiles(fm, plan, pad):
@@ -298,7 +298,7 @@ def test_transforms_byte_identical_to_tile_major_references(m, C, K, H, W, pad, 
     assert np.moveaxis(tiles, (-2, -1), (0, 1)).flags.c_contiguous
 
     # Every memory order of the same tiles gives the bytes of the C-contiguous reference.
-    want = ref_tiles_t = _ref_transform_tiles(plan, ref_tiles)
+    want = _ref_transform_tiles(plan, ref_tiles)
     for source in (tiles, ref_tiles, np.asfortranarray(ref_tiles)):
         got = transform_tiles(plan, source)
         assert got.shape == want.shape and _bytes(got) == _bytes(want)
@@ -308,8 +308,9 @@ def test_transforms_byte_identical_to_tile_major_references(m, C, K, H, W, pad, 
     for source in (filters, _position_major_view(filters), np.asfortranarray(filters)):
         assert _bytes(_filter_stack(source, plan)) == want.tobytes()
 
-    th, tw = ref_tiles_t.shape[1:3]
+    th, tw = ref_tiles.shape[1:3]
     mats = rng.uniform(-1, 1, (l, l, K, th * tw))
-    for source in (mats, np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, (0, 1), (2, 3))), (2, 3), (0, 1))):
+    tile_major = np.ascontiguousarray(np.moveaxis(mats, (0, 1), (-2, -1)))
+    for source in (mats, np.moveaxis(tile_major, (-2, -1), (0, 1))):
         want = _ref_assemble_output(source, plan, K, out_h, out_w)
         assert assemble_output(source, plan, K, out_h, out_w).tobytes() == want.tobytes()
