@@ -304,6 +304,7 @@ def block_matmul_sparse(
     exactly zero.  Counters charge stored nonzeros only.  Raises
     BcooFormatError unless U is a well-formed BCOO matrix.
     """
+    _block_grid(U, V)  # before block_stack allocates U's l-by-l blocks
     brow, _ = U._nonzero_blocks()
     rows_hit = len(np.unique(brow * U.l + U.ai))
     return _block_matmul(U, U.bn, U.block_stack(), V, U.nnz, rows_hit, counters, trace)
@@ -361,7 +362,9 @@ def _winograd_conv(fm, U, plan, pad, counters, nnz, rows_hit):
     V = _input_stack(transform_tiles(plan, tiles))
     K, P = U.shape[1], th * tw
     _charge(counters, nnz, rows_hit, P)
-    mats = np.matmul(U, V).reshape(l, l, K, P)
+    # A non-finite product is refused by the inverse transform, with a message.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = np.matmul(U, V).reshape(l, l, K, P)
     return assemble_output(mats, plan, K, out_h, out_w, counters=counters)
 
 

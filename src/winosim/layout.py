@@ -222,15 +222,56 @@ def extract_tiles(fm: np.ndarray, plan: WinogradPlan, pad: int = 0) -> np.ndarra
     return np.moveaxis(_position_major(win[:, ::m, ::m][:, :th, :tw]), (0, 1), (-2, -1))
 
 
+def _sandwich(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M . X . M.T over the two leading axes of X: out[a, e] = sum_bd M[a,b] X[b,d] M[e,d].
+
+    X has shape (n, n, ...) for an m-by-n M; the result is a contiguous
+    (m, m, ...) array.  The sums run in one fixed order, the one
+    np.einsum("ab,bd...,ed->ae...", M, X, M) takes on contiguous X: each
+    term is (M[a,b] * X[b,d]) * M[e,d], added in row-major (b, d) order to
+    an accumulator that starts at +0.0.  Terms whose M[a,b] is zero are
+    skipped, and so are terms whose M[e,d] is zero for an e outside the
+    first-to-last nonzero rows of column d.  That changes no bit: for
+    finite X such a term is +-0.0, and an accumulator that starts at +0.0
+    never holds -0.0, so adding +-0.0 leaves it unchanged.  That is why X
+    must be finite.
+
+    Raises ValueError on any other leading shape of X, on NaN or inf in X,
+    and on a result that overflows.
+    """
+    na, nb = M.shape
+    if X.shape[:2] != (nb, nb):
+        raise ValueError(f"transform needs {nb}x{nb} tiles, got leading shape {X.shape[:2]}")
+    if not np.isfinite(X).all():
+        raise ValueError("Winograd transform operand holds non-finite values (NaN or inf)")
+    flat = X.reshape(nb, nb, -1)
+    out = np.zeros((na, na, flat.shape[2]))
+    row, term = np.empty(flat.shape[2]), np.empty((na, flat.shape[2]))
+    spans = []  # (d, rows e of column d's nonzero span, M[e, d], scratch for the terms)
+    for d, nz in enumerate(map(np.flatnonzero, M.T)):
+        if len(nz):
+            e = slice(nz[0], nz[-1] + 1)
+            spans.append((d, e, M[e, d, None], term[: e.stop - e.start]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, acc in enumerate(out):
+            for b in np.flatnonzero(M[a]):
+                for d, e, col, terms in spans:
+                    np.multiply(M[a, b], flat[b, d], out=row)
+                    np.multiply(col, row, out=terms)
+                    acc[e] += terms
+    if not np.isfinite(out).all():
+        raise ValueError("Winograd transform overflowed to non-finite values")
+    return out.reshape(na, na, *X.shape[2:])
+
+
 def transform_tiles(plan: WinogradPlan, tiles: np.ndarray) -> np.ndarray:
     """Apply Bt . d . Bt.T to every tile in a (..., l, l) stack.
 
-    Returns a (..., l, l) view over position-major memory.  The einsum
-    always runs on a contiguous position-major copy: einsum orders its
-    sums by the operands' memory order, so the same subscripts over the
-    strided sliding-window view were slower and not byte-identical.
+    Returns a (..., l, l) view over position-major memory.  The sums run in
+    the fixed order of _sandwich, so the result does not depend on the
+    memory order of `tiles`.
     """
-    out = np.einsum("ab,bd...,ed->ae...", plan.Bt, _position_major(tiles), plan.Bt)
+    out = _sandwich(plan.Bt, _position_major(tiles))
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
@@ -276,8 +317,7 @@ def _filter_stack(filters: np.ndarray, plan: WinogradPlan) -> np.ndarray:
         raise ValueError(f"filter width {r}x{r2} != plan r={plan.r}")
     if K < 1 or C < 1:
         raise ValueError(f"filter bank needs K, C >= 1, got K={K}, C={C}")
-    u = np.einsum("ab,bdkc,ed->aekc", plan.G, _position_major(filters), plan.G)
-    return u.reshape(plan.l * plan.l, K, C)
+    return _sandwich(plan.G, _position_major(filters)).reshape(plan.l * plan.l, K, C)
 
 
 def gather_filters(filters: np.ndarray, plan: WinogradPlan) -> TransformedBatch:
@@ -304,7 +344,7 @@ def assemble_output(
     P = mats.shape[3]
     if mats.shape != (l, l, K, P) or P != th * tw:
         raise ValueError("product matrices inconsistent with output geometry")
-    tiles = np.einsum("ab,bdkp,ed->aekp", plan.At, mats, plan.At)
+    tiles = _sandwich(plan.At, mats)
     if counters is not None:
         counters.inverse_transforms += K * P
     tiles = tiles.reshape(m, m, K, th, tw).transpose(2, 3, 0, 4, 1)

@@ -311,6 +311,15 @@ def test_sparse_matmul_rejects_malformed_operand(case):
         block_matmul_sparse(bad, V)
 
 
+def test_sparse_matmul_checks_block_sides_before_building_blocks():
+    # a valid record with l = 2**30 holds one nonzero; its block stack would not fit
+    U = BcooMatrix(1, 1, 1 << 30, np.array([0]), np.array([0, 1]), np.array([0]), np.array([0]),
+                   np.array([1.0]))
+    U.validate()
+    with pytest.raises(ValueError, match="block sides differ"):
+        block_matmul_sparse(U, to_zmorton(np.ones((1, 1)), 4))
+
+
 # ---------------------------------------------------------------------------
 # winograd convolution paths
 
@@ -455,6 +464,46 @@ def test_compress_filters_rejects_non_finite_weights(plan, bad):
     flt[1, 0, 2, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         compress_filters(flt, plan, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_winograd_convs_reject_non_finite_operands(plan, bad):
+    rng = np.random.default_rng(26)
+    fm, flt = rng.uniform(-1, 1, (3, 6, 6)), rng.uniform(-1, 1, (4, 3, 3, 3))
+    _, enc, _ = compress_filters(flt, plan, 0.5)
+    bad_fm, bad_flt = fm.copy(), flt.copy()
+    bad_fm[1, 4, 2] = bad
+    bad_flt[2, 0, 1, 1] = bad
+    for conv, args in [
+        (winograd_conv_dense, (bad_fm, flt)),
+        (winograd_conv_dense, (fm, bad_flt)),
+        (winograd_conv_sparse, (bad_fm, enc)),
+    ]:
+        with pytest.raises(ValueError, match="non-finite"):
+            conv(*args, plan, pad=1)
+
+
+def test_dense_conv_rejects_overflow(plan):
+    # finite operands whose transform, or whose matrix product, overflows
+    with pytest.raises(ValueError, match="overflowed"):
+        winograd_conv_dense(np.full((2, 6, 6), 1e308), np.ones((3, 2, 3, 3)), plan, pad=1)
+    with pytest.raises(ValueError, match="non-finite"):
+        winograd_conv_dense(np.full((2, 6, 6), 1e200), np.full((3, 2, 3, 3), 1e200), plan, pad=1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
+def test_sparse_conv_rejects_non_finite_products(plan, value):
+    # a well-formed record whose AN value makes the products NaN, inf, or overflow
+    rng = np.random.default_rng(27)
+    fm = rng.uniform(-1, 1, (3, 8, 8)) * 1e300
+    _, enc, _ = compress_filters(rng.uniform(-1, 1, (4, 3, 3, 3)), plan, 0.5)
+    u = enc[5]
+    an = u.an.copy()
+    an[0] = value
+    records = enc[:5] + [BcooMatrix(u.rows, u.cols, u.l, u.bn, u.bi, u.ai, u.aj, an)] + enc[6:]
+    records[5].validate()
+    with pytest.raises(ValueError, match="non-finite"):
+        winograd_conv_sparse(fm, records, plan, pad=1)
 
 
 # ---------------------------------------------------------------------------

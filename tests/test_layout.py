@@ -314,3 +314,29 @@ def test_transforms_byte_identical_to_tile_major_references(m, C, K, H, W, pad, 
     for source in (mats, np.moveaxis(tile_major, (-2, -1), (0, 1))):
         want = _ref_assemble_output(source, plan, K, out_h, out_w)
         assert assemble_output(source, plan, K, out_h, out_w).tobytes() == want.tobytes()
+
+
+def _signed_zeros(rng, shape):
+    """Uniform values with about a third +0.0 and a third -0.0; channel 0 all +0.0, channel 1 all -0.0."""
+    a = rng.uniform(-1, 1, shape)
+    pick = rng.integers(0, 3, shape)
+    a[pick == 1] = 0.0
+    a[pick == 2] = -0.0
+    a[0], a[1] = 0.0, -0.0
+    return a
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_zero_skipping_transforms_keep_the_sign_of_zero(m):
+    # skipped terms are +-0.0; the references multiply every one of them
+    plan = make_plan(m, 3)
+    l = plan.l
+    rng = np.random.default_rng(m)
+    tiles = _signed_zeros(rng, (3, 2, 3, l, l))
+    assert _bytes(transform_tiles(plan, tiles)) == _ref_transform_tiles(plan, tiles).tobytes()
+    filters = np.moveaxis(_signed_zeros(rng, (3, 4, 3, 3)), 0, 1)  # all-zero input channels
+    assert _filter_stack(filters, plan).tobytes() == _ref_filter_stack(filters, plan).tobytes()
+    mats = np.moveaxis(_signed_zeros(rng, (3, l, l, 6)), 0, 2)  # all-zero output channels
+    got = assemble_output(mats, plan, 3, 2 * m, 3 * m)
+    assert got.tobytes() == _ref_assemble_output(mats, plan, 3, 2 * m, 3 * m).tobytes()
+    assert np.signbit(got[:2]).sum() == 0  # a sum that starts at +0.0 never ends at -0.0
