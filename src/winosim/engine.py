@@ -321,7 +321,11 @@ def direct_conv(
     pad: int = 0,
     counters: OpCounters | None = None,
 ) -> np.ndarray:
-    """Literal triple-sum correlation: Y[k,i,j] = sum_{t,p,q} G[k,t,p,q] * D[t,i*s+p,j*s+q]."""
+    """Literal triple-sum correlation: Y[k,i,j] = sum_{t,p,q} G[k,t,p,q] * D[t,i*s+p,j*s+q].
+
+    Raises ValueError on NaN or inf in the feature map or the filters, as
+    the Winograd paths do.
+    """
     fm = np.asarray(fm, dtype=float)
     filters = np.asarray(filters, dtype=float)
     C, H, W = fm.shape
@@ -330,6 +334,8 @@ def direct_conv(
         raise ValueError("filter bank does not match the feature map")
     if K < 1:
         raise ValueError(f"filter bank needs K >= 1, got K={K}")
+    if not (np.isfinite(fm).all() and np.isfinite(filters).all()):
+        raise ValueError("convolution operand holds non-finite values (NaN or inf)")
     oh, ow = _output_extent(H, W, r, pad, stride)
     padded = np.zeros((C, H + 2 * pad, W + 2 * pad))
     padded[:, pad : pad + H, pad : pad + W] = fm

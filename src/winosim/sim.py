@@ -23,7 +23,13 @@ one per output-column group.
 Everything is cycle-deterministic: identical inputs and configuration
 produce identical reports.  simulate_layer therefore memoizes a layer's
 report on its geometry (K, C, tile count), the ArchConfig, sparsity and
-seed, so `simulate` and `dse` price repeated layer geometries once.
+seed, so `simulate` and `dse` price repeated layer geometries once.  A
+geometry's l*l positions share one stream schedule and are replayed in
+one batched pass: their activity masks and the counts derived from them
+are built together, and only the FIFO walks and the decompressor sum
+run position by position.  The seeded survivor draw of a (block count,
+seed, position) is memoized too, so every swept sparsity reads a prefix
+of one permutation.
 """
 
 from __future__ import annotations
@@ -99,7 +105,6 @@ class SimReport:
     transform_cycles: int = 0
     matmul_cycles: int = 0
     inverse_cycles: int = 0
-    waves: int = 0
     step_slots: list | None = None
     step_distinct: list | None = None
 
@@ -164,85 +169,107 @@ def _fifo_misses(keys: list, capacity: int) -> np.ndarray:
     """Miss mask of one FIFO-replacement buffer over an access sequence.
 
     Only misses insert, so a key is still held iff at most `capacity`
-    misses, its own included, have happened since its own last miss.
+    misses, its own included, have happened since its own last miss: a
+    key whose last miss is at or below `evicted`, the miss count less
+    `capacity`, has left.  A key never missed counts as last missed at
+    -capacity, which `evicted` never falls below, so it always misses.
     """
     last_miss: dict = {}
-    misses = 0
-    out = []
+    get = last_miss.get
+    out = bytearray(len(keys))
+    never = evicted = -capacity
+    i = 0
     for key in keys:
-        j = last_miss.get(key)
-        if j is None or misses - j >= capacity:
-            misses += 1
-            last_miss[key] = misses
-            out.append(True)
+        if get(key, never) <= evicted:
+            evicted += 1
+            last_miss[key] = evicted + capacity
+            out[i] = 1
+        i += 1
+    return np.frombuffer(out, dtype=bool)
+
+
+def _run_cluster_schedules(
+    streams, cfg: ArchConfig, weights: list, collect_steps: bool = False
+) -> list[SimReport]:
+    """Replay the lockstep streams through the cluster's operand FIFOs, once per position.
+
+    `weights` holds one entry per position: None for the dense datapath, or
+    (ascending present weight codes, their nonzero counts) for the sparse
+    one, where only operations on a present weight run, weight misses pass
+    the decompressor and the feature-map FIFO splits into one half-depth
+    FIFO per column group.  Returns one report per entry.
+
+    Streams are row-half major.  The streams of one row half share their
+    weight codes (and so their activity), those of one column half their
+    feature-map codes, and at every step half 0's code lies below half
+    1's, so each step's distinct ascending codes need no sort.  Activity
+    and the counts derived from it are built for all positions at once;
+    only the FIFO walks and the decompressor sum run per position.
+    """
+    issue = cfg.cycles_per_block_matmul_issue
+    n_col_halves = 1 + max(s.col_half for s in streams)
+    a = np.stack([s.a for s in streams[::n_col_halves]], axis=1)  # (step, row half)
+    b = np.stack([s.b for s in streams[:n_col_halves]])
+    # member[pos, code]: does position pos run operations on weight code?  A
+    # valid record's codes lie in the block grid, whose last code a holds.
+    member = np.ones((len(weights), int(a.max()) + 1), dtype=bool)
+    for row, w in zip(member, weights):
+        if w is not None:
+            row[:] = False
+            row[w[0]] = True
+    act = member[:, a]  # (position, step, row half)
+    rows_active = act.sum(axis=2, dtype=np.uint8)
+    ran = rows_active > 0
+    steps = ran.sum(axis=1).tolist()
+    macs = (n_col_halves * act.sum(axis=(1, 2))).tolist()
+    busy = np.zeros((len(weights), 4), dtype=np.int64)
+    busy[:, : len(streams)] = np.repeat(issue * act.sum(axis=1), n_col_halves, axis=1)
+    busy = busy.tolist()
+
+    reps = []
+    for p, w in enumerate(weights):
+        seq = a[act[p]]
+        a_miss = _fifo_misses(seq.tolist(), cfg.fifo_depth)
+        if w is None:
+            fm_seq, fm_depth, fm_fifos = b.T.ravel(), cfg.fifo_depth, 1
         else:
-            out.append(False)
-    return np.array(out, dtype=bool)
+            # Both column-half FIFOs see one mask, and their codes differ by one
+            # constant Morton bit, so they miss alike: replay one, count it per half.
+            fm_seq, fm_depth, fm_fifos = b[0][ran[p]], cfg.fifo_depth // 2, n_col_halves
+        fm_miss = _fifo_misses(fm_seq.tolist(), fm_depth)
+        ext = int(np.count_nonzero(a_miss)) + fm_fifos * int(np.count_nonzero(fm_miss))
+
+        compute = steps[p] * issue
+        stall = 0
+        if w is not None:
+            present, nnz = w
+            decomp = int(nnz[np.searchsorted(present, seq[a_miss])].sum())
+            decomp *= cfg.decompress_cycles_per_nnz
+            stall = max(0, decomp - compute) if cfg.fifo_depth >= 2 else decomp
+        total = cfg.pipeline_fill + compute + stall if macs[p] else 0
+        rep = SimReport(
+            total_cycles=total,
+            external_block_fetches=ext,
+            block_matmuls_executed=macs[p],
+            busy_cycles=busy[p],
+            operand_slots=2 * macs[p],
+            steps_executed=steps[p],
+            decompress_stall_cycles=stall,
+            matmul_cycles=total,
+        )
+        if collect_steps:
+            active = rows_active[p][ran[p]]
+            rep.step_slots = (2 * n_col_halves * active).tolist()
+            rep.step_distinct = (active + n_col_halves).tolist()
+        reps.append(rep)
+    return reps
 
 
 def _run_cluster_schedule(
     streams, cfg: ArchConfig, weights=None, collect_steps: bool = False
 ) -> SimReport:
-    """Replay the lockstep streams through the cluster's operand FIFOs.
-
-    `weights` is None for the dense datapath, or (ascending present weight
-    codes, their nonzero counts) for the sparse one: only operations on a
-    present weight run, weight misses pass the decompressor and the
-    feature-map FIFO splits into one half-depth FIFO per column group.
-
-    Streams are row-half major.  The streams of one row half share their
-    weight codes (and so their activity), those of one column half their
-    feature-map codes, and at every step half 0's code lies below half
-    1's, so each step's distinct ascending codes need no sort.
-    """
-    issue = cfg.cycles_per_block_matmul_issue
-    n_col_halves = 1 + max(s.col_half for s in streams)
-    a = np.stack([s.a for s in streams[::n_col_halves]])
-    b = np.stack([s.b for s in streams[:n_col_halves]])
-    if weights is None:
-        act = np.ones(a.shape, dtype=bool)
-        fm_seq, fm_depth, fm_fifos = b.T.ravel(), cfg.fifo_depth, 1
-    else:
-        present, nnz = weights
-        # A sentinel past the last code: codes are >= 0, so a code not present never matches.
-        act = np.append(present, -1)[np.searchsorted(present, a)] == a
-        # Both column-half FIFOs see one mask, and their codes differ by one
-        # constant Morton bit, so they miss alike: replay one, count it per half.
-        fm_seq, fm_depth, fm_fifos = b[0][act.any(axis=0)], cfg.fifo_depth // 2, n_col_halves
-
-    seq = a.T[act.T]
-    a_missed = seq[_fifo_misses(seq.tolist(), cfg.fifo_depth)]
-    ext = len(a_missed) + fm_fifos * int(_fifo_misses(fm_seq.tolist(), fm_depth).sum())
-
-    rows_active = act.sum(axis=0)
-    ran = rows_active > 0
-    n_active = n_col_halves * rows_active
-    steps = int(ran.sum())
-    macs = int(n_active.sum())
-    slots = 2 * macs
-    busy = [0] * 4
-    busy[: len(streams)] = np.repeat(issue * act.sum(axis=1), n_col_halves).tolist()
-
-    compute = steps * issue
-    stall = 0
-    if weights is not None:
-        decomp = int(nnz[np.searchsorted(present, a_missed)].sum())
-        decomp *= cfg.decompress_cycles_per_nnz
-        stall = max(0, decomp - compute) if cfg.fifo_depth >= 2 else decomp
-    total = cfg.pipeline_fill + compute + stall if macs else 0
-
-    return SimReport(
-        total_cycles=total,
-        external_block_fetches=ext,
-        block_matmuls_executed=macs,
-        busy_cycles=busy,
-        operand_slots=slots,
-        steps_executed=steps,
-        decompress_stall_cycles=stall,
-        matmul_cycles=total,
-        step_slots=(2 * n_active[ran]).tolist() if collect_steps else None,
-        step_distinct=(rows_active + n_col_halves)[ran].tolist() if collect_steps else None,
-    )
+    """One position's replay: `weights` is None or one (present, nnz) pair."""
+    return _run_cluster_schedules(streams, cfg, [weights], collect_steps)[0]
 
 
 def simulate_cluster_dense(
@@ -270,12 +297,26 @@ def simulate_cluster_sparse(
 # whole-layer simulation
 
 
+# Holds every position of two block grids for l <= 8: `dse` prices a layer's
+# sparsities back to back, and layers of one block grid often follow each other.
+@lru_cache(maxsize=128)
+def _survivor_order(n: int, seed: int, pos: int) -> np.ndarray:
+    """Seeded permutation of n grid blocks, most durable first; read-only, as the cache shares it.
+
+    Every sparsity of a (seed, position) reads a prefix of this one draw.
+    It is stored in the narrowest unsigned type that holds n - 1.
+    """
+    order = np.random.default_rng((seed, pos)).permutation(n)
+    order = order.astype(np.min_scalar_type(n - 1))
+    order.setflags(write=False)
+    return order
+
+
 def _synthetic_present_codes(grid_codes: np.ndarray, sparsity: float, seed: int, pos: int):
     """Deterministic surviving-block choice; survivor sets nest as sparsity grows."""
     n = len(grid_codes)
     keep = int(round((1.0 - sparsity) * n))
-    perm = np.random.default_rng((seed, pos)).permutation(n)
-    return np.sort(grid_codes[perm[:keep]])
+    return np.sort(grid_codes[_survivor_order(n, seed, pos)[:keep]])
 
 
 def _synthetic_block_nnz(l: int, sparsity: float) -> int:
@@ -332,6 +373,9 @@ def _simulate_geometry(
 
     The report depends on nothing else of the layer: not its name, and not
     H and W beyond P.  Callers get a copy, so the memo is never aliased.
+    All l*l positions replay in one _run_cluster_schedules call; at nonzero
+    sparsity each keeps a prefix of its memoized _survivor_order draw, and
+    at zero sparsity one dense replay stands for every position.
     """
     l = cfg.l
     mb, nb, pb = (_block_extent(n, l) for n in (K, C, P))
@@ -340,14 +384,14 @@ def _simulate_geometry(
     if sparsity > 0.0:
         grid_codes = _grid_codes(mb, nb)
         block_nnz = _synthetic_block_nnz(l, sparsity)
-        reps = []
+        weights = []
         for pos in range(l * l):
             present = _synthetic_present_codes(grid_codes, sparsity, seed, pos)
-            nnz = np.full(len(present), block_nnz)
-            reps.append(_run_cluster_schedule(streams, cfg, (present, nnz)))
+            weights.append((present, np.broadcast_to(block_nnz, len(present))))
+        reps = _run_cluster_schedules(streams, cfg, weights)
     else:
         # Every dense position replays the same streams, so one replay serves all l^2.
-        reps = [_run_cluster_schedule(streams, cfg)] * (l * l)
+        reps = _run_cluster_schedules(streams, cfg, [None]) * (l * l)
 
     cluster_cycles = [0] * cfg.clusters
     busy = [0] * (cfg.clusters * 4)
@@ -367,7 +411,6 @@ def _simulate_geometry(
         transform_cycles=t_in.total_cycles,
         matmul_cycles=matmul_stage,
         inverse_cycles=t_out.total_cycles,
-        waves=-(-(l * l) // cfg.clusters),
     )
 
 

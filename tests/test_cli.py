@@ -162,6 +162,16 @@ def test_convolve_rejects_non_finite_input(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+def test_direct_convolve_rejects_non_finite_input(tmp_path, capsys):
+    fm = np.random.default_rng(1).uniform(-1, 1, (2, 6, 6))
+    fm[0, 3, 3] = np.nan
+    fm_p, out = tmp_path / "x.tensor", tmp_path / "y.tensor"
+    save_tensor(fm_p, fm)
+    assert run_cli(["convolve", "--mode", "direct", "--input", str(fm_p), "--out", str(out)]) == 1
+    assert "error: convolution operand holds non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_direct_convolve_rejects_empty_filter_bank(tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli(["convolve", "--mode", "direct", "--k", "0", "--out", str(out)]) == 1

@@ -483,6 +483,18 @@ def test_winograd_convs_reject_non_finite_operands(plan, bad):
             conv(*args, plan, pad=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_direct_conv_rejects_non_finite_operands(bad):
+    rng = np.random.default_rng(28)
+    fm, flt = rng.uniform(-1, 1, (3, 6, 6)), rng.uniform(-1, 1, (4, 3, 3, 3))
+    bad_fm, bad_flt = fm.copy(), flt.copy()
+    bad_fm[1, 4, 2] = bad
+    bad_flt[2, 0, 1, 1] = bad
+    for args in [(bad_fm, flt), (fm, bad_flt)]:
+        with pytest.raises(ValueError, match="non-finite values"):
+            direct_conv(*args, pad=1)
+
+
 def test_dense_conv_rejects_overflow(plan):
     # finite operands whose transform, or whose matrix product, overflows
     with pytest.raises(ValueError, match="overflowed"):
