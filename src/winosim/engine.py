@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bcoo import BcooMatrix, _decode_dense, _prune_dense, bcoo_encode
+from .bcoo import BcooMatrix, _decode_stack, _nonzero_entries, _prune_dense, bcoo_encode
 from .layout import (
     TransformedBatch,
     ZMortonMatrix,
@@ -305,8 +305,8 @@ def block_matmul_sparse(
     BcooFormatError unless U is a well-formed BCOO matrix.
     """
     _block_grid(U, V)  # before block_stack allocates U's l-by-l blocks
-    brow, _ = U._nonzero_blocks()
-    rows_hit = len(np.unique(brow * U.l + U.ai))
+    _, rows, _ = _nonzero_entries([U])
+    rows_hit = len(np.unique(rows))
     return _block_matmul(U, U.bn, U.block_stack(), V, U.nnz, rows_hit, counters, trace)
 
 
@@ -410,12 +410,11 @@ def winograd_conv_sparse(
 
     `u_sparse` is the sequence of l*l BcooMatrix weight matrices (K-by-C
     each) in (i, j) row-major position order.  Counters charge stored
-    nonzeros only.
+    nonzeros only.  A malformed record raises BcooFormatError naming its
+    position.
     """
-    K, C = _check_records(u_sparse, plan.l)
-    U = np.zeros((len(u_sparse), K, C))
-    for u, dense in zip(u_sparse, U):
-        _decode_dense(u, dense)
+    _check_records(u_sparse, plan.l)
+    U = _decode_stack(u_sparse, positions=True)
     nnz = np.count_nonzero(U)
     rows_hit = np.count_nonzero(U.any(axis=2))
     return _winograd_conv(fm, U, plan, pad, counters, nnz, rows_hit)

@@ -54,13 +54,18 @@ def _spread_bits(v):
     return v
 
 
-def _compact_bits(v):
-    v = v & 0x55555555
-    v = (v | (v >> 1)) & 0x33333333
-    v = (v | (v >> 2)) & 0x0F0F0F0F
-    v = (v | (v >> 4)) & 0x00FF00FF
-    v = (v | (v >> 8)) & 0x0000FFFF
-    return v
+@lru_cache(maxsize=1)
+def _compact_table() -> np.ndarray:
+    """Every 16-bit code, decoded: its column bits in bits 0-7, its row bits in bits 16-23; read-only."""
+    v = np.arange(256)
+    byte = np.zeros(256, dtype=np.int64)  # the same for the 8-bit codes
+    for bit in range(4):
+        byte |= ((v >> (2 * bit)) & 1) << bit
+        byte |= ((v >> (2 * bit + 1)) & 1) << (16 + bit)
+    # code = high byte * 256 + low byte, and the high byte holds coordinate bits 4-7
+    table = np.bitwise_or.outer(byte << 4, byte).ravel()
+    table.setflags(write=False)
+    return table
 
 
 def morton_encode(block_row: int, block_col: int) -> int:
@@ -85,9 +90,11 @@ def _morton_encode_array(rows, cols):
 def _morton_decode_array(codes):
     """(rows, cols) block coordinates of Morton codes; refuses to alias."""
     codes = np.asarray(codes)
-    if np.any(codes >> (2 * _AXIS_BITS)):
+    if (codes >> (2 * _AXIS_BITS)).any():
         raise ValueError(f"morton index must lie in [0, 2**{2 * _AXIS_BITS})")
-    return _compact_bits(codes >> 1), _compact_bits(codes)
+    table = _compact_table()
+    both = table[codes & 0xFFFF] | (table[codes >> 16] << 8)
+    return both >> 16, both & 0xFFFF
 
 
 def _block_extent(n: int, l: int) -> int:
@@ -145,29 +152,17 @@ def _grid_codes(block_rows: int, block_cols: int) -> np.ndarray:
     return codes
 
 
-def to_zmorton(dense, l: int) -> ZMortonMatrix:
-    """Pack a row-major matrix into Morton-ordered l-by-l blocks."""
-    dense = np.asarray(dense, dtype=float)
-    rows, cols = dense.shape
-    zm = zmorton_zeros(rows, cols, l)
-    padded = np.zeros((zm.padded_rows, zm.padded_cols))
-    padded[:rows, :cols] = dense
-    grid = padded.reshape(zm.block_rows, l, zm.block_cols, l).transpose(0, 2, 1, 3)
-    zm.blocks = grid[_morton_decode_array(zm.block_codes)]
-    return zm
+@lru_cache(maxsize=64)
+def _grid_coords(block_rows: int, block_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(block rows, block columns) of _grid_codes, in its order; read-only, as the cache shares them."""
+    coords = _morton_decode_array(_grid_codes(block_rows, block_cols))
+    for c in coords:
+        c.setflags(write=False)
+    return coords
 
 
-def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
-    """Recover the logical row-major matrix (padding dropped)."""
-    l = zm.l
-    nbr, nbc = zm.block_rows, zm.block_cols
-    grid = np.zeros((nbr, nbc, l, l))
-    grid[_morton_decode_array(zm.block_codes)] = zm.blocks
-    return grid.transpose(0, 2, 1, 3).reshape(nbr * l, nbc * l)[: zm.rows, : zm.cols]
-
-
-def zmorton_zeros(rows: int, cols: int, l: int) -> ZMortonMatrix:
-    """An all-zero rows-by-cols matrix; ValueError if its padded grid exceeds _GRID_LIMIT entries."""
+def _grid_extents(rows: int, cols: int, l: int) -> tuple[int, int]:
+    """(block rows, block cols) of a rows-by-cols matrix; ValueError if its padded grid exceeds _GRID_LIMIT entries."""
     if l < 1:
         raise ValueError("block side must be >= 1")
     nbr = _block_extent(rows, l)
@@ -177,7 +172,39 @@ def zmorton_zeros(rows: int, cols: int, l: int) -> ZMortonMatrix:
             f"{nbr}x{nbc} grid of {l}x{l} blocks holds {nbr * nbc * l * l} entries, "
             f"over the limit of 2**{_GRID_LIMIT.bit_length() - 1}"
         )
-    codes = _grid_codes(nbr, nbc)
+    return nbr, nbc
+
+
+def to_zmorton(dense, l: int) -> ZMortonMatrix:
+    """Pack a row-major matrix into Morton-ordered l-by-l blocks (a fresh copy, never a view)."""
+    dense = np.asarray(dense, dtype=float)
+    rows, cols = dense.shape
+    nbr, nbc = _grid_extents(rows, cols, l)
+    if (rows, cols) != (nbr * l, nbc * l):
+        padded = np.zeros((nbr * l, nbc * l))
+        padded[:rows, :cols] = dense
+        dense = padded
+    brow, bcol = _grid_coords(nbr, nbc)
+    # Advanced indices split by a slice put the block axis first: (n_blocks, l, l).
+    blocks = dense.reshape(nbr, l, nbc, l)[brow, :, bcol, :]
+    return ZMortonMatrix(rows=rows, cols=cols, l=l, block_codes=_grid_codes(nbr, nbc), blocks=blocks)
+
+
+def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
+    """Recover the logical row-major matrix (padding dropped) in a fresh array."""
+    l = zm.l
+    nbr, nbc = zm.block_rows, zm.block_cols
+    brow, bcol = _grid_coords(nbr, nbc)
+    if zm.blocks.shape != (len(brow), l, l):
+        raise ValueError(f"{zm.blocks.shape} block stack does not fill a {nbr}x{nbc} grid of {l}x{l} blocks")
+    grid = np.empty((nbr, l, nbc, l))  # every block is written below
+    grid[brow, :, bcol, :] = zm.blocks
+    return grid.reshape(nbr * l, nbc * l)[: zm.rows, : zm.cols]
+
+
+def zmorton_zeros(rows: int, cols: int, l: int) -> ZMortonMatrix:
+    """An all-zero rows-by-cols matrix; ValueError if its padded grid exceeds _GRID_LIMIT entries."""
+    codes = _grid_codes(*_grid_extents(rows, cols, l))
     return ZMortonMatrix(
         rows=rows, cols=cols, l=l, block_codes=codes, blocks=np.zeros((len(codes), l, l))
     )

@@ -427,9 +427,21 @@ _CSV_COLUMNS = {
 }
 
 
+def _csv_field(v) -> str:
+    """Floats by repr, so they read back exactly; the rest by str.
+
+    A numpy float is written as the builtin float of the same value: the
+    repr of np.float64, a float subclass, names its type.  A numpy
+    integer's str is already that of the builtin int.
+    """
+    if isinstance(v, np.floating):
+        v = float(v)
+    return repr(v) if isinstance(v, float) else str(v)
+
+
 def _csv_line(values) -> str:
-    """One CSV line: floats by repr, so they read back exactly; the rest by str."""
-    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+    """One CSV line of _csv_field texts."""
+    return ",".join(map(_csv_field, values))
 
 
 def sim_csv_header() -> str:

@@ -9,7 +9,8 @@ import hypothesis.strategies as st
 from winosim.bcoo import (
     BcooFormatError,
     BcooMatrix,
-    _decode_dense,
+    _decode_stack,
+    _nonzero_entries,
     _prune_dense,
     bcoo_decode,
     bcoo_encode,
@@ -19,7 +20,17 @@ from winosim.bcoo import (
     prune,
     save_bcoo,
 )
-from winosim.layout import TransformedBatch, _grid_codes, from_zmorton, to_zmorton
+from winosim.layout import (
+    _AXIS_BITS,
+    _AXIS_LIMIT,
+    TransformedBatch,
+    _block_extent,
+    _grid_codes,
+    _morton_decode_array,
+    from_zmorton,
+    morton_encode,
+    to_zmorton,
+)
 
 
 def _random_sparse(rng, rows, cols, sparsity):
@@ -333,6 +344,126 @@ def test_validate_grid_check_matches_grid_membership(code, row_bits, col_bits):
     assert accepted == (code in set(_grid_codes(nbr, nbc).tolist()))
 
 
+def _reference_nonzero_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+    """The one-record validation body, verbatim; _nonzero_entries must reproduce it."""
+    l = int(self.l)
+    nbr = _block_extent(self.rows, l)
+    nbc = _block_extent(self.cols, l)
+    if max(nbr, nbc) > _AXIS_LIMIT:
+        raise BcooFormatError(f"{nbr}x{nbc} block grid exceeds the {_AXIS_BITS}-bit Morton axis")
+    if len(self.bi) != len(self.bn) + 1:
+        raise BcooFormatError("BI must have exactly len(BN) + 1 entries")
+    if len(self.bn) and self.bi[0] != 0:
+        raise BcooFormatError("BI[0] must be 0")
+    if len(self.bn) == 0 and list(self.bi) != [0]:
+        raise BcooFormatError("empty matrix must have BI == [0]")
+    counts = np.diff(self.bi)
+    if np.any(counts < 0):
+        raise BcooFormatError("BI must be non-decreasing")
+    if np.any(counts == 0):
+        raise BcooFormatError("BN lists a block with no nonzeros")
+    if self.bi[-1] != len(self.an) or len(self.ai) != len(self.an) or len(self.aj) != len(self.an):
+        raise BcooFormatError("AI/AJ/AN lengths disagree with BI")
+    if len(self.bn) and np.any(np.diff(self.bn) <= 0):
+        raise BcooFormatError("BN must be strictly ascending")
+    # Both grid extents are powers of two, so a code names a grid block
+    # exactly when it sets no bit outside the code of the last block.
+    if np.any(self.bn & ~morton_encode(nbr - 1, nbc - 1)):
+        raise BcooFormatError("BN contains a block number outside the grid")
+    if np.any((self.ai < 0) | (self.ai >= l)):
+        raise BcooFormatError("AI entry outside [0, l)")
+    if np.any((self.aj < 0) | (self.aj >= l)):
+        raise BcooFormatError("AJ entry outside [0, l)")
+    if np.any(self.an == 0.0):
+        raise BcooFormatError("AN stores an explicit zero")
+    owner = np.repeat(np.arange(len(self.bn)), counts)
+    brow, bcol = (coord[owner] for coord in _morton_decode_array(self.bn))
+    # brow * l + ai < rows, rearranged so that it cannot overflow int64
+    outside_rows = brow > (self.rows - 1 - self.ai) // l
+    outside_cols = bcol > (self.cols - 1 - self.aj) // l
+    if np.any(outside_rows | outside_cols):
+        raise BcooFormatError("nonzero outside the logical matrix")
+    # Each nonzero lies strictly after its predecessor in the block, in
+    # (AI, AJ) order, which also rules out duplicates.
+    d_ai, d_aj = np.diff(self.ai), np.diff(self.aj)
+    later = (d_ai > 0) | ((d_ai == 0) & (d_aj > 0))
+    if np.any(~later & (owner[1:] == owner[:-1])):
+        raise BcooFormatError("duplicate or out-of-order (AI, AJ) pair within a block")
+    return brow, bcol
+
+
+def _reference_entries(records):
+    """(record, row, col) of every nonzero by the reference body, record by record; else its message."""
+    found = []
+    for r, u in enumerate(records):
+        try:
+            brow, bcol = _reference_nonzero_blocks(u)
+        except BcooFormatError as exc:
+            return f"weight matrix at position {r}: {exc}"
+        found.append((np.full(len(brow), r), brow * u.l + u.ai, bcol * u.l + u.aj))
+    return tuple(np.concatenate(parts).tolist() for parts in zip(*found))
+
+
+def _batched_entries(records):
+    try:
+        return tuple(part.tolist() for part in _nonzero_entries(records, positions=True))
+    except BcooFormatError as exc:
+        return str(exc)
+
+
+def _unchecked_record(buf):
+    """The record bcoo_from_bytes would validate, or None if its header or length fails first."""
+    rows, cols, l, n_blocks, nnz = struct.unpack_from("<5q", buf)
+    if min(rows, cols, l) < 1 or n_blocks < 0 or nnz < 0 or len(buf) < 40 + 8 * (2 * n_blocks + 1 + 3 * nnz):
+        return None
+    words = np.frombuffer(buf, "<i8", offset=40, count=2 * n_blocks + 1 + 2 * nnz)
+    bn, bi, ai, aj = np.split(words.copy(), np.cumsum([n_blocks, n_blocks + 1, nnz]))
+    an = np.frombuffer(buf, "<f8", offset=40 + 8 * len(words), count=nnz).copy()
+    return BcooMatrix(rows, cols, l, bn, bi, ai, aj, an)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bcoo_like_records())
+def test_nonzero_entries_matches_reference_on_one_record(buf):
+    rec = _unchecked_record(buf)
+    if rec is None:
+        return
+    assert _batched_entries([rec]) == _reference_entries([rec])
+
+
+@st.composite
+def _record_lists(draw):
+    """The l*l records of one shape, from random sparse matrices, one of them possibly mutated."""
+    l = draw(st.integers(2, 4))
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 10_000))
+    sparsities = draw(st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.0]), min_size=l * l, max_size=l * l))
+    rng = np.random.default_rng(seed)
+    records = [bcoo_encode(to_zmorton(_random_sparse(rng, rows, cols, s), l)) for s in sparsities]
+    p = draw(st.integers(0, l * l - 1))
+    u = records[p]
+    fields = {"bn": u.bn.copy(), "bi": u.bi.copy(), "ai": u.ai.copy(), "aj": u.aj.copy(), "an": u.an.copy()}
+    name = draw(st.sampled_from(["none", *fields]))
+    if name != "none":
+        vec = fields[name]
+        if len(vec) and draw(st.booleans()):
+            i = draw(st.sampled_from([0, 1 % len(vec), len(vec) - 1]) | st.integers(0, len(vec) - 1))
+            if name == "an":
+                vec[i] = 0.0
+            else:
+                vec[i] = draw(st.sampled_from([-1, 0, 1, 2, l - 1, l, 1 << 40, int(vec[i - 1])]))
+        else:
+            fields[name] = vec[:-1] if len(vec) and draw(st.booleans()) else np.append(vec, vec[-1:] if len(vec) else [1])
+        records[p] = BcooMatrix(u.rows, u.cols, u.l, **fields)
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_lists())
+def test_nonzero_entries_matches_reference_on_record_lists(records):
+    assert _batched_entries(records) == _reference_entries(records)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_bcoo_like_records(), st.tuples(
     st.integers(1, 20), st.integers(1, 20), st.integers(1, 5),
@@ -346,9 +477,55 @@ def test_decode_dense_equals_zmorton_decode(source):
             return
         if mat.l > 64:  # the Z-Morton decode would allocate l-by-l padding blocks
             return
+        records = [mat]
     else:
         rows, cols, l, sparsity, seed = source
-        mat = bcoo_encode(to_zmorton(_random_sparse(np.random.default_rng(seed), rows, cols, sparsity), l))
-    dense = np.zeros((mat.rows, mat.cols))
-    _decode_dense(mat, dense)
-    assert dense.tobytes() == from_zmorton(bcoo_decode(mat)).tobytes()
+        rng = np.random.default_rng(seed)
+        # a stack of l*l records, among them one with no stored blocks
+        records = [
+            bcoo_encode(to_zmorton(_random_sparse(rng, rows, cols, 1.0 if p == seed % (l * l) else sparsity), l))
+            for p in range(l * l)
+        ]
+        assert records[seed % (l * l)].nnz == 0
+    stack = _decode_stack(records)
+    assert stack.shape == (len(records), records[0].rows, records[0].cols)
+    for dense, mat in zip(stack, records):
+        assert dense.tobytes() == from_zmorton(bcoo_decode(mat)).tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bn", np.array([0.0])),
+    ("bi", np.array([0.0, 1.0])),
+    ("ai", np.array([0.5])),
+    ("aj", np.array([True])),
+    ("an", np.array([1])),
+    ("an", np.array([1.0 + 0j])),
+    ("ai", np.array([[0]])),
+    ("bn", [0]),
+    ("bi", np.array([0, 1], dtype=np.uint64)),
+])
+def test_validate_rejects_vectors_of_the_wrong_kind(field, value):
+    fields = {"bn": np.array([0]), "bi": np.array([0, 1]), "ai": np.array([0]), "aj": np.array([0]),
+              "an": np.array([1.0])}
+    BcooMatrix(4, 4, 4, **fields).validate()
+    fields[field] = value
+    bad = BcooMatrix(4, 4, 4, **fields)
+    name = field.upper()
+    for check in (bad.validate, lambda: bcoo_decode(bad), lambda: _decode_stack([bad, bad])):
+        with pytest.raises(BcooFormatError, match=f"{name} must be a 1-D"):
+            check()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint32])
+def test_validate_reads_integer_vectors_of_any_width(dtype):
+    m = _random_sparse(np.random.default_rng(5), 9, 7, 0.5)
+    u = bcoo_encode(to_zmorton(m, 4))
+    narrow = BcooMatrix(u.rows, u.cols, u.l, *(v.astype(dtype) for v in (u.bn, u.bi, u.ai, u.aj)), u.an)
+    assert np.array_equal(from_zmorton(bcoo_decode(narrow)), m)
+    assert _decode_stack([narrow, u]).tobytes() == np.stack([m, m]).tobytes()
+    # a narrow entry that is negative reads as negative, not as a wrapped large index
+    if np.dtype(dtype).kind == "i":
+        ai = narrow.ai.copy()
+        ai[0] = -1
+        with pytest.raises(BcooFormatError, match="AI entry outside"):
+            BcooMatrix(u.rows, u.cols, u.l, narrow.bn, narrow.bi, ai, narrow.aj, narrow.an).validate()

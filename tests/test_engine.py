@@ -442,6 +442,22 @@ def test_sparse_conv_validates_each_record(plan):
         winograd_conv_sparse(fm, enc[:5] + [duplicate] + enc[6:], plan, pad=1)
 
 
+@pytest.mark.parametrize("position", [0, 7, 15])
+@pytest.mark.parametrize("case, message", [
+    ("repeated BN", "BN must be strictly ascending"),
+    ("BN outside the grid", "BN contains a block number outside the grid"),
+    ("duplicate (AI, AJ)", "duplicate or out-of-order (AI, AJ) pair within a block"),
+])
+def test_sparse_conv_names_the_malformed_position(plan, position, case, message):
+    rng = np.random.default_rng(26)
+    fm = rng.uniform(-1, 1, (8, 6, 6))
+    _, enc, _ = compress_filters(rng.uniform(-1, 1, (8, 8, 3, 3)), plan, 0.5)
+    records = enc[:position] + [_malformed_records()[case]] + enc[position + 1:]
+    with pytest.raises(BcooFormatError) as err:
+        winograd_conv_sparse(fm, records, plan, pad=1)
+    assert str(err.value) == f"weight matrix at position {position}: {message}"
+
+
 def test_block_reference_checks_records_like_the_sparse_path(plan):
     rng = np.random.default_rng(25)
     fm = rng.uniform(-1, 1, (3, 8, 8))

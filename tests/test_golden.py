@@ -127,6 +127,25 @@ def test_cli_csv_digest(tmp_path, argv, digest):
     ],
 )
 def test_bcoo_container_digest(m, sparsity, digest):
-    flt = np.random.default_rng(0).uniform(-1, 1, (6, 5, 3, 3))
+    _check_container_digest(6, 5, m, sparsity, digest)
+
+
+@pytest.mark.parametrize(
+    "K, C, m, sparsity, digest",
+    [
+        # 12 = 2 * 6: the l = 6 block grid is 2x2 and needs no padding
+        (12, 12, 4, 0.0, "c50f9fe54497a9e13727483d3b93bae8203d001aae378daaf087208500aee450"),
+        (12, 12, 4, 0.9, "9fb5e686325e2815b08c91a28ee084d83c4e4109cbb34136f15a8dd19553aca4"),
+        # a 10x6 grid of l = 4 blocks, padded to 16x8
+        (37, 21, 2, 0.0, "40cc22f3f5b929a32d8848ea36cf341ce7a441bd741b1cb7205b0d028c03559b"),
+        (37, 21, 2, 0.9, "eb7ada186a80b7d7c71fcfa20ce46be2e9a375d53e7c9d50bb892d751a9e4205"),
+    ],
+)
+def test_bcoo_container_digest_of_grid_shape(K, C, m, sparsity, digest):
+    _check_container_digest(K, C, m, sparsity, digest)
+
+
+def _check_container_digest(K, C, m, sparsity, digest):
+    flt = np.random.default_rng(0).uniform(-1, 1, (K, C, 3, 3))
     _, encoded, _ = compress_filters(flt, make_plan(m, 3), sparsity)
     assert _sha256(b"".join(bcoo_to_bytes(e) for e in encoded)) == digest

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from winosim.layout import (
     _block_extent,
+    _morton_decode_array,
     _filter_stack,
     _grid_codes,
     _output_extent,
@@ -150,6 +151,35 @@ def test_extract_tiles_reconstructs_covered_region(plan):
     padded = np.zeros((C, th * m + 2, tw * m + 2))
     padded[:, pad : pad + 6, pad : pad + 6] = fm
     assert np.array_equal(rebuilt, padded[:, : th * m, : tw * m])
+
+
+def _reference_to_zmorton_blocks(dense, l):
+    """The padded-grid packing, verbatim; to_zmorton's gather must reproduce it."""
+    nbr, nbc = _block_extent(dense.shape[0], l), _block_extent(dense.shape[1], l)
+    padded = np.zeros((nbr * l, nbc * l))
+    padded[: dense.shape[0], : dense.shape[1]] = dense
+    grid = padded.reshape(nbr, l, nbc, l).transpose(0, 2, 1, 3)
+    return grid[_morton_decode_array(_grid_codes(nbr, nbc))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block_rows=st.integers(1, 9),
+    block_cols=st.integers(1, 9),
+    l=st.integers(1, 6),
+    trim=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    seed=st.integers(0, 1000),
+)
+def test_zmorton_packing_matches_padded_grid_reference(block_rows, block_cols, l, trim, seed):
+    # whole blocks, often an unpadded power-of-two grid, or trimmed into padding
+    rows, cols = max(1, block_rows * l - trim[0]), max(1, block_cols * l - trim[1])
+    m = np.random.default_rng(seed).uniform(-1, 1, (rows, cols))
+    zm = to_zmorton(m, l)
+    assert zm.blocks.tobytes() == _reference_to_zmorton_blocks(m, l).tobytes()
+    back = from_zmorton(zm)
+    assert back.tobytes() == m.tobytes()
+    # both directions copy: neither result shares memory with its source
+    assert not np.shares_memory(zm.blocks, m) and not np.shares_memory(back, zm.blocks)
 
 
 def test_block_extent_rounds_block_count_up_to_power_of_two():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from test_engine import _malformed_records
-from winosim.bcoo import BcooFormatError, bcoo_encode
+from winosim.bcoo import BcooFormatError, BcooMatrix, bcoo_encode
 from winosim.engine import LayerSpec, matmul_streams
 from winosim.layout import _grid_codes, to_zmorton
 from winosim.plans import make_plan
@@ -316,6 +316,16 @@ def test_cluster_sparse_rejects_malformed_operand(cfg, case):
         simulate_cluster_sparse(_malformed_records()[case], V, cfg)
 
 
+@pytest.mark.parametrize("field", ["bn", "bi", "ai", "aj"])
+def test_cluster_sparse_rejects_non_integer_indices(cfg, field):
+    # a fractional index must not be priced: it names no block or entry
+    vectors = {"bn": np.array([0]), "bi": np.array([0, 1]), "ai": np.array([0]), "aj": np.array([0])}
+    vectors[field] = vectors[field] + 0.5
+    U = BcooMatrix(4, 4, 4, **vectors, an=np.array([1.0]))
+    with pytest.raises(BcooFormatError, match=f"{field.upper()} must be a 1-D integer array"):
+        simulate_cluster_sparse(U, to_zmorton(np.ones((4, 4)), 4), cfg)
+
+
 # ---------------------------------------------------------------------------
 # sparse cluster
 
@@ -479,6 +489,19 @@ def test_layer_bandwidth_reduction_reported(plan, cfg):
     layer = LayerSpec("t", H=8, W=8, C=16, K=16, r=3, pad=1)
     rep = simulate_layer(layer, plan, cfg)
     assert rep.bandwidth_reduction_factor >= 2.0
+
+
+def test_csv_row_writes_numpy_counters_as_builtins():
+    counters = dict(total_cycles=12, external_block_fetches=3, block_matmuls_executed=7,
+                    operand_slots=12, busy_cycles=[5, 7])
+    builtin = SimReport(**counters)
+    numpy = SimReport(**{k: (np.int64(v) if isinstance(v, int) else v) for k, v in counters.items()})
+    assert isinstance(numpy.bandwidth_reduction_factor, np.float64)
+    want = "conv,2,0.5,12,3,9,7,4.0"
+    assert sim_csv_row("conv", 2, 0.5, builtin) == want
+    assert sim_csv_row("conv", np.int32(2), np.float64(0.5), numpy) == want
+    assert sim_csv_row("conv", 2, np.float32(0.5), builtin) == want
+    assert sim_csv_row("conv", np.uint8(2), np.float32(0.1), numpy) == f"conv,2,{float(np.float32(0.1))!r},12,3,9,7,4.0"
 
 
 def test_csv_shape():
