@@ -4,7 +4,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from winosim.layout import _filter_stack, assemble_output, transform_tiles
-from winosim.plans import OpCounters, direct_correlate_1d, make_plan, winograd_1d
+from winosim.plans import (
+    OpCounters,
+    WinogradPlan,
+    _verify_plan,
+    direct_correlate_1d,
+    make_plan,
+    winograd_1d,
+)
 
 
 # Per-tile forms of the 2-D transforms that winosim.layout applies to whole stacks.
@@ -56,8 +63,90 @@ def test_make_plan_rejects_small():
 
 
 def test_make_plan_rejects_ill_conditioned():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"identity residual 4\.47e-08"):
         make_plan(14, 3)
+
+
+def test_make_plan_accepts_exactly_the_plans_up_to_l_14():
+    for r in range(2, 11):
+        for m in range(2, 24):
+            if m + r - 1 <= 14:
+                assert make_plan(m, r).l == m + r - 1
+            else:
+                with pytest.raises(ValueError, match="identity residual"):
+                    make_plan(m, r)
+
+
+# F(4, 3) of Lavin & Gray, written out: points 0, 1, -1, 2, -2 and infinity.
+_AT_43 = np.array(
+    [
+        [1.0, 1.0, 1.0, 1.0, 1.0, 0.0],
+        [0.0, 1.0, -1.0, 2.0, -2.0, 0.0],
+        [0.0, 1.0, 1.0, 4.0, 4.0, 0.0],
+        [0.0, 1.0, -1.0, 8.0, -8.0, 1.0],
+    ]
+)
+_G_43 = np.array(
+    [
+        [1 / 4, 0.0, 0.0],
+        [-1 / 6, -1 / 6, -1 / 6],
+        [-1 / 6, 1 / 6, -1 / 6],
+        [1 / 24, 1 / 12, 1 / 6],
+        [1 / 24, -1 / 12, 1 / 6],
+        [0.0, 0.0, 1.0],
+    ]
+)
+_BT_43 = np.array(
+    [
+        [4.0, 0.0, -5.0, 0.0, 1.0, 0.0],
+        [0.0, -4.0, -4.0, 1.0, 1.0, 0.0],
+        [0.0, 4.0, -4.0, -1.0, 1.0, 0.0],
+        [0.0, -2.0, -1.0, 2.0, 1.0, 0.0],
+        [0.0, 2.0, -1.0, -2.0, 1.0, 0.0],
+        [0.0, 4.0, 0.0, -5.0, 0.0, 1.0],
+    ]
+)
+_F23 = dict(
+    m=2,
+    r=3,
+    At=[[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, -1.0]],
+    G=[[1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0.0, 0.0, 1.0]],
+    Bt=[[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, -1.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]],
+)
+_F43 = dict(m=4, r=3, At=_AT_43, G=_G_43, Bt=_BT_43)
+
+
+def _hand_plan(spec, **replace):
+    mats = {name: np.array(spec[name], dtype=float) for name in ("At", "G", "Bt")}
+    mats.update(replace)
+    return WinogradPlan(m=spec["m"], r=spec["r"], l=spec["m"] + spec["r"] - 1, **mats)
+
+
+@pytest.mark.parametrize("spec", [_F23, _F43], ids=["F(2,3)", "F(4,3)"])
+def test_verify_plan_catches_every_single_entry_perturbation(spec):
+    assert _verify_plan(_hand_plan(spec)) <= 1e-15
+    for name in ("At", "G", "Bt"):
+        base = np.array(spec[name], dtype=float)
+        for idx in np.ndindex(base.shape):
+            bad = base.copy()
+            bad[idx] += 1e-6
+            assert _verify_plan(_hand_plan(spec, **{name: bad})) > 1e-8, (name, idx)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("l", 5, r"l=5 != m \+ r - 1 = 4"),
+        ("At", np.zeros((1, 1)), r"At has shape \(1, 1\), F\(2, 3\) needs \(2, 4\)"),
+        ("G", np.zeros((4, 4)), r"G has shape \(4, 4\), F\(2, 3\) needs \(4, 3\)"),
+        ("Bt", np.zeros((4, 3)), r"Bt has shape \(4, 3\), F\(2, 3\) needs \(4, 4\)"),
+    ],
+)
+def test_plan_rejects_inconsistent_fields(field, value, message):
+    fields = dict(m=2, r=3, l=4, At=np.zeros((2, 4)), G=np.zeros((4, 3)), Bt=np.zeros((4, 4)))
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        WinogradPlan(**fields)
 
 
 def test_winograd_1d_known_values(plan23):

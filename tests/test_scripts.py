@@ -1,7 +1,11 @@
 """Smoke tests: the experiment scripts under scripts/ and the benchmark
-self-test run to completion, and every module's public names resolve."""
+self-test run to completion, every module's public names resolve, the
+package holds no `assert` statement, and a dense pass loads no
+`numpy.random`."""
 
+import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -50,3 +54,47 @@ def test_public_names_resolve(module):
     mod = importlib.import_module(f"winosim.{module}")
     assert mod.__all__
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so an input check written as one vanishes.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "winosim").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+_RANDOM_PROBE = """
+import json, sys
+from winosim import cli
+from winosim.plans import make_plan
+
+out = sys.argv[1]
+loaded = {}
+cli.main(["simulate", "--spec", "vgg16", "--scale", "16", "--out", out + "/dense.csv"])
+loaded["dense simulate"] = "numpy.random" in sys.modules
+for m in (2, 3, 4, 6):
+    make_plan(m, 3)
+loaded["make_plan"] = "numpy.random" in sys.modules
+cli.main(["simulate", "--spec", "vgg16", "--scale", "16", "--sparsity", "0.9",
+          "--out", out + "/sparse.csv"])
+print(json.dumps(loaded))
+"""
+
+
+def test_dense_simulate_and_plans_do_not_import_numpy_random(tmp_path):
+    # A fresh interpreter, so no earlier test has loaded numpy.random.  The
+    # sparse pass after the checks still draws its survivors from it.
+    proc = subprocess.run(
+        [sys.executable, "-c", _RANDOM_PROBE, str(tmp_path)],
+        cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"dense simulate": False, "make_plan": False}
+    dense = (tmp_path / "dense.csv").read_text().splitlines()
+    sparse = (tmp_path / "sparse.csv").read_text().splitlines()
+    assert len(sparse) == len(dense) > 1
+    assert sparse != dense
