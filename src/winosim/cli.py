@@ -210,11 +210,14 @@ def cmd_compress(args) -> int:
 
 def cmd_simulate(args) -> int:
     net = _load_spec(args.spec, args.scale)
-    plan = make_plan(args.m, args.r)
-    cfg = replace(_arch_config(args), l=plan.l)
+    cfg = _arch_config(args)
+    plans: dict = {}  # F(m, r) per filter width, as dse builds them
     lines = [sim.sim_csv_header()]
     for layer in net.conv_layers():
-        rep = sim.simulate_layer(layer, plan, cfg, args.sparsity, args.seed)
+        if layer.r not in plans:
+            plans[layer.r] = make_plan(args.m, layer.r)
+        plan = plans[layer.r]
+        rep = sim.simulate_layer(layer, plan, replace(cfg, l=plan.l), args.sparsity, args.seed)
         lines.append(sim.sim_csv_row(layer.name, args.m, args.sparsity, rep))
     _write_lines(args.out, lines)
     return 0
@@ -258,9 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    def common(p, plan=True):
-        if plan:
+    def common(p, m=True, r=True):
+        if m:
             p.add_argument("--m", type=int, default=2, help="outputs per tile edge (default 2)")
+        if r:
             p.add_argument("--r", type=int, default=3, help="filter width (default 3)")
         p.add_argument("--seed", type=int, default=0, help="seed for synthetic data")
 
@@ -300,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
 
     p = command("simulate", cmd_simulate, "simulate layers on the systolic model, emit CSV")
-    common(p)
+    common(p, r=False)  # r from each layer
     sim_common(p)
     p.add_argument("--sparsity", type=float, default=0.0)
 
     p = command("dse", cmd_dse, "analytical + simulated design-space sweep, emit CSV")
-    common(p, plan=False)  # m comes from --m-values, r from each layer
+    common(p, m=False, r=False)  # m comes from --m-values, r from each layer
     sim_common(p)
     p.add_argument("--m-values", type=_parse_int_list, default=[2], dest="m_values")
     p.add_argument("--sparsities", type=_parse_float_list, default=[0.0])

@@ -25,11 +25,12 @@ produce identical reports.  simulate_layer therefore memoizes a layer's
 report on its geometry (K, C, tile count), the ArchConfig, sparsity and
 seed, so `simulate` and `dse` price repeated layer geometries once.  A
 geometry's l*l positions share one stream schedule and are replayed in
-one batched pass: their activity masks and the counts derived from them
-are built together, and only the FIFO walks and the decompressor sum
-run position by position.  The seeded survivor draw of a (block count,
-seed, position) is memoized too, so every swept sparsity reads a prefix
-of one permutation.
+one batched pass: their weight tables, activity masks and the counts
+derived from them are built together, and per position each buffer
+runs one pure-Python walk that counts its misses and, for the weights,
+sums the decompressor's nonzeros.  The seeded survivor draw of a (block
+count, seed, position) is memoized too, so every swept sparsity reads a
+prefix of one permutation.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .bcoo import BcooMatrix
 from .engine import LayerSpec, _block_grid, matmul_streams
-from .layout import ZMortonMatrix, _block_extent, _grid_codes
+from .layout import ZMortonMatrix, _block_extent, _grid_codes, _morton_decode_array
 from .plans import WinogradPlan
 
 __all__ = [
@@ -165,91 +166,90 @@ def simulate_transform(tile_count: int, cfg: ArchConfig) -> SimReport:
 # cluster matmul stage
 
 
-def _fifo_misses(keys: list, capacity: int) -> np.ndarray:
-    """Miss mask of one FIFO-replacement buffer over an access sequence.
+def _fifo_misses(keys: list, capacity: int, cost: list) -> tuple[int, int]:
+    """(misses, sum of cost[key] over the misses) of one FIFO-replacement buffer.
 
-    Only misses insert, so a key is still held iff at most `capacity`
-    misses, its own included, have happened since its own last miss: a
-    key whose last miss is at or below `evicted`, the miss count less
-    `capacity`, has left.  A key never missed counts as last missed at
-    -capacity, which `evicted` never falls below, so it always misses.
+    Keys index `cost`.  Only misses insert, so a key is still held iff at
+    most `capacity` misses, its own included, have happened since its own
+    last miss: a key whose last miss is at or below `evicted`, the miss
+    count less `capacity`, has left.  A key never missed counts as last
+    missed at -capacity, which `evicted` never falls below, so it always
+    misses.
     """
-    last_miss: dict = {}
-    get = last_miss.get
-    out = bytearray(len(keys))
-    never = evicted = -capacity
-    i = 0
+    last = [-capacity] * len(cost)
+    evicted = -capacity
+    total = 0
     for key in keys:
-        if get(key, never) <= evicted:
+        if last[key] <= evicted:
             evicted += 1
-            last_miss[key] = evicted + capacity
-            out[i] = 1
-        i += 1
-    return np.frombuffer(out, dtype=bool)
+            last[key] = evicted + capacity
+            total += cost[key]
+    return evicted + capacity, total
 
 
 def _run_cluster_schedules(
-    streams, cfg: ArchConfig, weights: list, collect_steps: bool = False
+    streams, cfg: ArchConfig, nnz: np.ndarray | None = None, collect_steps: bool = False
 ) -> list[SimReport]:
     """Replay the lockstep streams through the cluster's operand FIFOs, once per position.
 
-    `weights` holds one entry per position: None for the dense datapath, or
-    (ascending present weight codes, their nonzero counts) for the sparse
-    one, where only operations on a present weight run, weight misses pass
-    the decompressor and the feature-map FIFO splits into one half-depth
-    FIFO per column group.  Returns one report per entry.
+    `nnz` is None for the dense datapath, which yields one report, or a
+    (position, weight code) table of each present weight block's nonzero
+    count, 0 where the block is absent, for the sparse one: only
+    operations on a present weight run, weight misses pass the
+    decompressor and the feature-map FIFO splits into one half-depth FIFO
+    per column group.  The table must span every weight code of the
+    streams.  Returns one report per position.
 
     Streams are row-half major.  The streams of one row half share their
     weight codes (and so their activity), those of one column half their
     feature-map codes, and at every step half 0's code lies below half
     1's, so each step's distinct ascending codes need no sort.  Activity
     and the counts derived from it are built for all positions at once;
-    only the FIFO walks and the decompressor sum run per position.
+    per position, each buffer's access sequence goes to one list walk.
     """
     issue = cfg.cycles_per_block_matmul_issue
     n_col_halves = 1 + max(s.col_half for s in streams)
     a = np.stack([s.a for s in streams[::n_col_halves]], axis=1)  # (step, row half)
-    b = np.stack([s.b for s in streams[:n_col_halves]])
-    # member[pos, code]: does position pos run operations on weight code?  A
-    # valid record's codes lie in the block grid, whose last code a holds.
-    member = np.ones((len(weights), int(a.max()) + 1), dtype=bool)
-    for row, w in zip(member, weights):
-        if w is not None:
-            row[:] = False
-            row[w[0]] = True
+    # Feature-map blocks are keyed by (row, column) rank, not Morton code: a
+    # skinny grid's codes spread far wider than its block count.
+    rows, cols = _morton_decode_array(np.stack([s.b for s in streams[:n_col_halves]]))
+    b = rows * (int(cols.max()) + 1) + cols
+    sparse = nnz is not None
+    if sparse:
+        member = nnz > 0  # member[pos, code]: does position pos run operations on weight code?
+    else:  # every weight block present, and no decompressor to charge
+        member = np.ones((1, int(a.max()) + 1), dtype=bool)
+        nnz = np.zeros(member.shape, dtype=np.uint8)
+    fm_cost = [0] * (int(b.max()) + 1)
     act = member[:, a]  # (position, step, row half)
     rows_active = act.sum(axis=2, dtype=np.uint8)
     ran = rows_active > 0
     steps = ran.sum(axis=1).tolist()
     macs = (n_col_halves * act.sum(axis=(1, 2))).tolist()
-    busy = np.zeros((len(weights), 4), dtype=np.int64)
+    busy = np.zeros((len(member), 4), dtype=np.int64)
     busy[:, : len(streams)] = np.repeat(issue * act.sum(axis=1), n_col_halves, axis=1)
     busy = busy.tolist()
 
     reps = []
-    for p, w in enumerate(weights):
-        seq = a[act[p]]
-        a_miss = _fifo_misses(seq.tolist(), cfg.fifo_depth)
-        if w is None:
-            fm_seq, fm_depth, fm_fifos = b.T.ravel(), cfg.fifo_depth, 1
-        else:
-            # Both column-half FIFOs see one mask, and their codes differ by one
-            # constant Morton bit, so they miss alike: replay one, count it per half.
+    for p in range(len(member)):
+        a_misses, decomp = _fifo_misses(a[act[p]].tolist(), cfg.fifo_depth, nnz[p].tolist())
+        if sparse:
+            # Both column-half FIFOs see one mask, and their keys differ by one
+            # constant, so they miss alike: replay one, count it per half.
             fm_seq, fm_depth, fm_fifos = b[0][ran[p]], cfg.fifo_depth // 2, n_col_halves
-        fm_miss = _fifo_misses(fm_seq.tolist(), fm_depth)
-        ext = int(np.count_nonzero(a_miss)) + fm_fifos * int(np.count_nonzero(fm_miss))
+        else:
+            fm_seq, fm_depth, fm_fifos = b.T.ravel(), cfg.fifo_depth, 1
+        fm_misses = _fifo_misses(fm_seq.tolist(), fm_depth, fm_cost)[0]
 
         compute = steps[p] * issue
         stall = 0
-        if w is not None:
-            present, nnz = w
-            decomp = int(nnz[np.searchsorted(present, seq[a_miss])].sum())
+        if sparse:
             decomp *= cfg.decompress_cycles_per_nnz
             stall = max(0, decomp - compute) if cfg.fifo_depth >= 2 else decomp
         total = cfg.pipeline_fill + compute + stall if macs[p] else 0
         rep = SimReport(
             total_cycles=total,
-            external_block_fetches=ext,
+            external_block_fetches=a_misses + fm_fifos * fm_misses,
             block_matmuls_executed=macs[p],
             busy_cycles=busy[p],
             operand_slots=2 * macs[p],
@@ -265,18 +265,11 @@ def _run_cluster_schedules(
     return reps
 
 
-def _run_cluster_schedule(
-    streams, cfg: ArchConfig, weights=None, collect_steps: bool = False
-) -> SimReport:
-    """One position's replay: `weights` is None or one (present, nnz) pair."""
-    return _run_cluster_schedules(streams, cfg, [weights], collect_steps)[0]
-
-
 def simulate_cluster_dense(
     U: ZMortonMatrix, V: ZMortonMatrix, cfg: ArchConfig, collect_steps: bool = False
 ) -> SimReport:
     """Price one cluster running U times V; engine.recursive_matmul computes the product."""
-    return _run_cluster_schedule(matmul_streams(*_block_grid(U, V)), cfg, None, collect_steps)
+    return _run_cluster_schedules(matmul_streams(*_block_grid(U, V)), cfg, None, collect_steps)[0]
 
 
 def simulate_cluster_sparse(
@@ -289,8 +282,10 @@ def simulate_cluster_sparse(
     BcooFormatError unless U is a well-formed BCOO matrix.
     """
     U.validate()
-    streams = matmul_streams(*_block_grid(U, V))
-    return _run_cluster_schedule(streams, cfg, (U.bn, np.diff(U.bi)), collect_steps)
+    mb, nb, pb = _block_grid(U, V)
+    nnz = np.zeros((1, _grid_codes(mb, nb)[-1] + 1), dtype=np.int64)
+    nnz[0, U.bn] = np.diff(U.bi)
+    return _run_cluster_schedules(matmul_streams(mb, nb, pb), cfg, nnz, collect_steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +305,6 @@ def _survivor_order(n: int, seed: int, pos: int) -> np.ndarray:
     order = order.astype(np.min_scalar_type(n - 1))
     order.setflags(write=False)
     return order
-
-
-def _synthetic_present_codes(grid_codes: np.ndarray, sparsity: float, seed: int, pos: int):
-    """Deterministic surviving-block choice; survivor sets nest as sparsity grows."""
-    n = len(grid_codes)
-    keep = int(round((1.0 - sparsity) * n))
-    return np.sort(grid_codes[_survivor_order(n, seed, pos)[:keep]])
 
 
 def _synthetic_block_nnz(l: int, sparsity: float) -> int:
@@ -382,16 +370,19 @@ def _simulate_geometry(
     streams = matmul_streams(mb, nb, pb)
 
     if sparsity > 0.0:
+        # Each position keeps the most durable blocks of its draw; survivor
+        # sets nest as sparsity grows.
         grid_codes = _grid_codes(mb, nb)
+        n = len(grid_codes)
+        keep = int(round((1.0 - sparsity) * n))
+        orders = np.stack([_survivor_order(n, seed, pos)[:keep] for pos in range(l * l)])
         block_nnz = _synthetic_block_nnz(l, sparsity)
-        weights = []
-        for pos in range(l * l):
-            present = _synthetic_present_codes(grid_codes, sparsity, seed, pos)
-            weights.append((present, np.broadcast_to(block_nnz, len(present))))
-        reps = _run_cluster_schedules(streams, cfg, weights)
+        nnz = np.zeros((l * l, grid_codes[-1] + 1), dtype=np.min_scalar_type(block_nnz))
+        nnz[np.arange(l * l)[:, None], grid_codes[orders]] = block_nnz
+        reps = _run_cluster_schedules(streams, cfg, nnz)
     else:
         # Every dense position replays the same streams, so one replay serves all l^2.
-        reps = _run_cluster_schedules(streams, cfg, [None]) * (l * l)
+        reps = _run_cluster_schedules(streams, cfg) * (l * l)
 
     cluster_cycles = [0] * cfg.clusters
     busy = [0] * (cfg.clusters * 4)

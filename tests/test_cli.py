@@ -87,6 +87,27 @@ def test_simulate_csv(tmp_path):
     assert lines[1].startswith("a,2,")
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_simulate_takes_each_layers_filter_width(tmp_path, m):
+    # a 3x3 and a 5x5 layer in one spec: simulate prices each with its own F(m, r), as dse does
+    spec = tmp_path / "net.cfg"
+    spec.write_text("conv a 8 8 4 4 3 1\nconv b 8 8 4 4 5 2\n")
+    sim_csv, dse_csv = tmp_path / "sim.csv", tmp_path / "dse.csv"
+    assert run_cli(["simulate", "--spec", str(spec), "--m", str(m), "--out", str(sim_csv)]) == 0
+    assert run_cli(["dse", "--spec", str(spec), "--m-values", str(m), "--out", str(dse_csv)]) == 0
+    sim_rows = [line.split(",") for line in sim_csv.read_text().splitlines()]
+    dse_rows = [line.split(",") for line in dse_csv.read_text().splitlines()]
+    assert len(sim_rows) == len(dse_rows) == 3
+    # dse's key columns, then its simulator columns, are simulate's columns
+    assert [row[:3] + row[-5:] for row in dse_rows] == sim_rows
+
+
+def test_simulate_has_no_r_flag():
+    # r comes from each layer of the spec
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["simulate", "--r", "5"])
+
+
 def test_dse_byte_identical_reruns(tmp_path):
     spec = tmp_path / "net.cfg"
     spec.write_text(format_network_config(vgg16_spec()))

@@ -1,7 +1,7 @@
 """Smoke tests: the experiment scripts under scripts/ and the benchmark
 self-test run to completion, every module's public names resolve, the
-package holds no `assert` statement, and a dense pass loads no
-`numpy.random`."""
+package holds no `assert` statement, a dense pass loads no
+`numpy.random`, and a failing Hypothesis test fails only itself."""
 
 import ast
 import importlib
@@ -98,3 +98,31 @@ def test_dense_simulate_and_plans_do_not_import_numpy_random(tmp_path):
     sparse = (tmp_path / "sparse.csv").read_text().splitlines()
     assert len(sparse) == len(dense) > 1
     assert sparse != dense
+
+
+_FAILING_GIVEN = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_falsified(x):
+    assert x < 5
+
+
+def test_after():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_fails_only_itself(tmp_path):
+    # Under this repo's warning filters, Hypothesis's failure report must not
+    # turn into an INTERNALERROR (exit 3) that leaves every later test unrun.
+    (tmp_path / "test_probe.py").write_text(_FAILING_GIVEN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout

@@ -23,7 +23,6 @@ from winosim.sim import (
 )
 from winosim.sim import (
     _fifo_misses,
-    _run_cluster_schedule,
     _run_cluster_schedules,
     _simulate_geometry,
     _survivor_order,
@@ -65,11 +64,22 @@ def _reference_fifo_misses(keys, capacity):
 
 
 @settings(max_examples=300, deadline=None)
-@given(keys=st.lists(st.integers(0, 12), max_size=80), capacity=st.integers(0, 5))
-def test_fifo_misses_matches_reference_fifo(keys, capacity):
-    got = _fifo_misses(keys, capacity)
-    assert got.dtype == bool
-    assert got.tolist() == _reference_fifo_misses(keys, capacity)
+@given(
+    keys=st.lists(st.integers(0, 12), max_size=80),
+    capacity=st.integers(0, 5),
+    cost=st.lists(st.integers(0, 1000), min_size=13, max_size=13),
+)
+def test_fifo_misses_matches_reference_fifo(keys, capacity, cost):
+    # a random cost per key: a wrong miss set with the right miss count still fails
+    missed = [key for key, miss in zip(keys, _reference_fifo_misses(keys, capacity)) if miss]
+    assert _fifo_misses(keys, capacity, cost) == (len(missed), sum(cost[key] for key in missed))
+
+
+@given(keys=st.lists(st.integers(0, 12), max_size=80))
+def test_fifo_misses_without_capacity_misses_every_access(keys):
+    # the half-depth feature-map FIFOs at fifo_depth 1 hold nothing
+    cost = list(range(1, 14))
+    assert _fifo_misses(keys, 0, cost) == (len(keys), sum(cost[key] for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +123,11 @@ def _reference_run_cluster_schedule(
         ]
 
     seq, distinct = _accesses(a, active)
-    a_missed = seq[_fifo_misses(seq.tolist(), cfg.fifo_depth)]
+    a_missed = seq[np.array(_reference_fifo_misses(seq.tolist(), cfg.fifo_depth), dtype=bool)]
     ext = len(a_missed)
     for rows, depth in fm_fifos:
         seq, per_step = _accesses(b[rows], active[rows])
-        ext += int(_fifo_misses(seq.tolist(), depth).sum())
+        ext += sum(_reference_fifo_misses(seq.tolist(), depth))
         distinct = distinct + per_step
 
     n_active = active.sum(axis=0)
@@ -153,35 +163,6 @@ def _reference_run_cluster_schedule(
 _POW2 = st.sampled_from([1, 2, 4, 8, 16])
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    extents=st.tuples(_POW2, _POW2, _POW2),
-    fifo_depth=st.integers(1, 5),
-    sparse=st.booleans(),
-    data=st.data(),
-)
-def test_cluster_schedule_matches_sort_based_reference(extents, fifo_depth, sparse, data):
-    streams = matmul_streams(*extents)
-    cfg = ArchConfig(fifo_depth=fifo_depth)
-    weights = None
-    if sparse:
-        grid = _grid_codes(*extents[:2])
-        n = len(grid)
-        keep = data.draw(
-            st.one_of(
-                st.just([False] * n),
-                st.just([True] * n),
-                st.lists(st.booleans(), min_size=n, max_size=n),
-            )
-        )
-        present = grid[np.array(keep, dtype=bool)]
-        nnz = data.draw(st.lists(st.integers(1, 16), min_size=len(present), max_size=len(present)))
-        weights = (present, np.array(nnz, dtype=np.int64))
-    got = _run_cluster_schedule(streams, cfg, weights, collect_steps=True)
-    want = _reference_run_cluster_schedule(streams, cfg, weights, collect_steps=True)
-    assert got == want
-
-
 def _draw_weights(data, extents):
     """One sparse weight set on the (row, inner) block grid: empty, full or random, random nnz."""
     grid = _grid_codes(*extents[:2])
@@ -198,6 +179,31 @@ def _draw_weights(data, extents):
     return present, np.array(nnz, dtype=np.int64)
 
 
+def _nnz_table(weights, extents):
+    """The replay's (position, weight code) nonzero table of (present codes, nnz) pairs."""
+    table = np.zeros((len(weights), _grid_codes(*extents[:2])[-1] + 1), dtype=np.int64)
+    for row, (present, nnz) in zip(table, weights):
+        row[present] = nnz
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    extents=st.tuples(_POW2, _POW2, _POW2),
+    fifo_depth=st.integers(1, 5),
+    sparse=st.booleans(),
+    data=st.data(),
+)
+def test_cluster_schedule_matches_sort_based_reference(extents, fifo_depth, sparse, data):
+    streams = matmul_streams(*extents)
+    cfg = ArchConfig(fifo_depth=fifo_depth)
+    weights = _draw_weights(data, extents) if sparse else None
+    table = None if weights is None else _nnz_table([weights], extents)
+    [got] = _run_cluster_schedules(streams, cfg, table, collect_steps=True)
+    want = _reference_run_cluster_schedule(streams, cfg, weights, collect_steps=True)
+    assert got == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     extents=st.tuples(_POW2, _POW2, _POW2),
@@ -205,20 +211,19 @@ def _draw_weights(data, extents):
     data=st.data(),
 )
 def test_batched_replay_matches_reference_per_position(extents, fifo_depth, data):
-    # up to 36 positions (l = 6), each dense (None) or its own sparse weight set
+    # one dense replay, then up to 36 positions (l = 6), each with its own sparse weight set
     streams = matmul_streams(*extents)
     cfg = ArchConfig(fifo_depth=fifo_depth)
     n_pos = data.draw(st.integers(1, 36))
-    weights = [
-        None if data.draw(st.integers(0, 7)) == 0 else _draw_weights(data, extents)
-        for _ in range(n_pos)
-    ]
-    got = _run_cluster_schedules(streams, cfg, weights, collect_steps=True)
-    assert len(got) == n_pos
-    for rep, w in zip(got, weights):
-        want = _reference_run_cluster_schedule(streams, cfg, w, collect_steps=True)
-        for f in dataclasses.fields(SimReport):
-            assert getattr(rep, f.name) == getattr(want, f.name), f.name
+    weights = [_draw_weights(data, extents) for _ in range(n_pos)]
+    calls = [(None, [None]), (_nnz_table(weights, extents), weights)]
+    for table, per_position in calls:
+        got = _run_cluster_schedules(streams, cfg, table, collect_steps=True)
+        assert len(got) == len(per_position)
+        for rep, w in zip(got, per_position):
+            want = _reference_run_cluster_schedule(streams, cfg, w, collect_steps=True)
+            for f in dataclasses.fields(SimReport):
+                assert getattr(rep, f.name) == getattr(want, f.name), f.name
 
 
 # ---------------------------------------------------------------------------
