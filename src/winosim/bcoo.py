@@ -41,8 +41,6 @@ __all__ = [
     "prune",
     "bcoo_to_bytes",
     "bcoo_from_bytes",
-    "save_bcoo",
-    "load_bcoo",
 ]
 
 
@@ -327,16 +325,3 @@ def bcoo_from_bytes(buf: bytes, offset: int = 0) -> tuple[BcooMatrix, int]:
     mat.validate()
     return mat, pos
 
-
-def save_bcoo(path, b: BcooMatrix) -> None:
-    with open(path, "wb") as fh:
-        fh.write(bcoo_to_bytes(b))
-
-
-def load_bcoo(path) -> BcooMatrix:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    mat, pos = bcoo_from_bytes(buf)
-    if pos != len(buf):
-        raise BcooFormatError("trailing bytes after BCOO record")
-    return mat

@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Subcommands: verify (oracle-equivalence and format suites), convolve
-(single layer, any mode), compress (transform + prune + BCOO), simulate
-(per-layer systolic model, CSV), and dse (analytical + simulated sweep,
-CSV).  Synthetic tensors are seeded uniform values in [-1, 1], so a fixed
+(single layer, any mode), compress (transform + prune + BCOO), dse
+(analytical + simulated sweep, CSV), and simulate (one point of that
+sweep, its per-layer systolic-model columns only).  Synthetic tensors are seeded uniform values in [-1, 1], so a fixed
 seed reproduces every run byte for byte.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import struct
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -208,17 +207,16 @@ def cmd_compress(args) -> int:
 # simulate
 
 
+# simulate's CSV: the key and simulator columns of a dse row
+_SIM_COLUMNS = ("layer", "m", "sparsity", "cycles", "ext_fetches", "local_fetches",
+                "block_matmuls", "bw_reduction")
+
+
 def cmd_simulate(args) -> int:
+    """One point of the dse sweep: a single m and sparsity."""
     net = _load_spec(args.spec, args.scale)
-    cfg = _arch_config(args)
-    plans: dict = {}  # F(m, r) per filter width, as dse builds them
-    lines = [sim.sim_csv_header()]
-    for layer in net.conv_layers():
-        if layer.r not in plans:
-            plans[layer.r] = make_plan(args.m, layer.r)
-        plan = plans[layer.r]
-        rep = sim.simulate_layer(layer, plan, replace(cfg, l=plan.l), args.sparsity, args.seed)
-        lines.append(sim.sim_csv_row(layer.name, args.m, args.sparsity, rep))
+    rows = model.dse_sweep(net, [args.m], [args.sparsity], cfg=_arch_config(args), seed=args.seed)
+    lines = [model.dse_csv_header(_SIM_COLUMNS)] + model.dse_csv_rows(rows, _SIM_COLUMNS)
     _write_lines(args.out, lines)
     return 0
 

@@ -27,13 +27,13 @@ weight volume by the surviving fraction; feature maps stay dense.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .engine import FcSpec, LayerSpec, NetworkSpec, PoolSpec
 from .plans import WinogradPlan, make_plan
-from .sim import ArchConfig, SimReport, _csv_line, simulate_layer
+from .sim import ArchConfig, SimReport, simulate_layer
 
 __all__ = [
     "EnergyParams",
@@ -252,10 +252,11 @@ def dse_sweep(
 ) -> list[SweepRow]:
     """Sweep m and sparsity over every conv layer of the network.
 
-    Sparsity scales the multiply count and weight volume by the surviving
-    fraction (block granularity, rounded to integers); feature-map volumes
-    are unchanged.  With `simulate`, each point also carries the simulated
-    latency and fetch counters.
+    Sparsity s scales the multiply count and weight volume by 1 - s,
+    rounded to integers: s is read as the fraction of zero weight entries.
+    Feature-map volumes are unchanged.  With `simulate`, each point also
+    carries the simulated latency and fetch counters of simulate_layer,
+    which reads s as the fraction of all-zero weight blocks.
     """
     m_values = list(m_values)
     sparsities = list(sparsities)
@@ -266,15 +267,15 @@ def dse_sweep(
             raise ValueError(f"sparsity {s!r} must lie in [0, 1]")
     ep = ep or EnergyParams()
     cfg = cfg or ArchConfig()
-    plans: dict = {}
+    plans: dict = {}  # (m, r) -> F(m, r) and the architecture at its block side
     rows = []
     for m in m_values:
         for layer in net.conv_layers():
             key = (m, layer.r)
             if key not in plans:
-                plans[key] = make_plan(*key)
-            lplan = plans[key]
-            lcfg = replace(cfg, l=lplan.l)
+                plan = make_plan(*key)
+                plans[key] = plan, replace(cfg, l=plan.l)
+            lplan, lcfg = plans[key]
             d_wi, d_wo, d_wk = volumes(layer, m)
             m_w = mult_count(layer, m)
             s_w, s_b, s_a = add_counts(layer, lplan, corrected_transform_adds)
@@ -312,21 +313,40 @@ def dse_sweep(
     return rows
 
 
-def dse_csv_header() -> str:
-    return ",".join(f.name for f in fields(SweepRow))
+# Every SweepRow field, in order: the dse CSV schema
+_SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def dse_csv_rows(rows) -> list[str]:
-    return [_csv_line(astuple(r)) for r in rows]
+def _csv_field(v) -> str:
+    """Floats by repr, so they read back exactly; the rest by str.
+
+    A numpy float is written as the builtin float of the same value: the
+    repr of np.float64, a float subclass, names its type.  A numpy
+    integer's str is already that of the builtin int.
+    """
+    if isinstance(v, np.floating):
+        v = float(v)
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def dse_csv_header(columns=_SWEEP_COLUMNS) -> str:
+    return ",".join(columns)
+
+
+def dse_csv_rows(rows, columns=_SWEEP_COLUMNS) -> list[str]:
+    """One CSV line per SweepRow, holding the named fields in `columns` order."""
+    return [",".join(_csv_field(getattr(r, c)) for c in columns) for r in rows]
 
 
 # ---------------------------------------------------------------------------
 # network spec text config
 #
-# Line format (whitespace separated, '#' comments):
+# Line format (whitespace separated, '#' comments), exactly these fields:
 #   conv <name> <H> <W> <C> <K> <r> <pad>
 #   pool
 #   fc <name> <in_features> <out_features>
+
+_CONFIG_TOKENS = {"conv": 8, "pool": 1, "fc": 4}  # item kind -> tokens on its line
 
 
 def parse_network_config(text: str) -> NetworkSpec:
@@ -338,6 +358,9 @@ def parse_network_config(text: str) -> NetworkSpec:
         parts = line.split()
         kind = parts[0]
         try:
+            want = _CONFIG_TOKENS.get(kind)
+            if want is not None and len(parts) != want:
+                raise ValueError(f"{kind} takes {want - 1} fields, got {len(parts) - 1}")
             if kind == "conv":
                 name = parts[1]
                 H, W, C, K, r, pad = (int(v) for v in parts[2:8])
@@ -348,7 +371,7 @@ def parse_network_config(text: str) -> NetworkSpec:
                 items.append(FcSpec(parts[1], int(parts[2]), int(parts[3])))
             else:
                 raise ValueError(f"unknown item kind {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"network config line {ln}: {exc}") from exc
     return NetworkSpec(items=tuple(items))
 

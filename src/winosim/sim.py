@@ -52,8 +52,6 @@ __all__ = [
     "simulate_cluster_dense",
     "simulate_cluster_sparse",
     "simulate_layer",
-    "sim_csv_header",
-    "sim_csv_row",
 ]
 
 
@@ -265,11 +263,18 @@ def _run_cluster_schedules(
     return reps
 
 
+def _cluster_grid(U, V: ZMortonMatrix, cfg: ArchConfig) -> tuple[int, int, int]:
+    """_block_grid of U times V; ValueError unless the arrays are U's block side too."""
+    if U.l != cfg.l:
+        raise ValueError(f"architecture block side {cfg.l} != operand block side {U.l}")
+    return _block_grid(U, V)
+
+
 def simulate_cluster_dense(
     U: ZMortonMatrix, V: ZMortonMatrix, cfg: ArchConfig, collect_steps: bool = False
 ) -> SimReport:
     """Price one cluster running U times V; engine.recursive_matmul computes the product."""
-    return _run_cluster_schedules(matmul_streams(*_block_grid(U, V)), cfg, None, collect_steps)[0]
+    return _run_cluster_schedules(matmul_streams(*_cluster_grid(U, V, cfg)), cfg, None, collect_steps)[0]
 
 
 def simulate_cluster_sparse(
@@ -282,7 +287,7 @@ def simulate_cluster_sparse(
     BcooFormatError unless U is a well-formed BCOO matrix.
     """
     U.validate()
-    mb, nb, pb = _block_grid(U, V)
+    mb, nb, pb = _cluster_grid(U, V, cfg)
     nnz = np.zeros((1, _grid_codes(mb, nb)[-1] + 1), dtype=np.int64)
     nnz[0, U.bn] = np.diff(U.bi)
     return _run_cluster_schedules(matmul_streams(mb, nb, pb), cfg, nnz, collect_steps)[0]
@@ -404,40 +409,3 @@ def _simulate_geometry(
         inverse_cycles=t_out.total_cycles,
     )
 
-
-# ---------------------------------------------------------------------------
-# CSV emission
-
-# CSV column -> SimReport attribute, after the layer, m and sparsity columns
-_CSV_COLUMNS = {
-    "cycles": "total_cycles",
-    "ext_fetches": "external_block_fetches",
-    "local_fetches": "local_block_fetches",
-    "block_matmuls": "block_matmuls_executed",
-    "bw_reduction": "bandwidth_reduction_factor",
-}
-
-
-def _csv_field(v) -> str:
-    """Floats by repr, so they read back exactly; the rest by str.
-
-    A numpy float is written as the builtin float of the same value: the
-    repr of np.float64, a float subclass, names its type.  A numpy
-    integer's str is already that of the builtin int.
-    """
-    if isinstance(v, np.floating):
-        v = float(v)
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _csv_line(values) -> str:
-    """One CSV line of _csv_field texts."""
-    return ",".join(map(_csv_field, values))
-
-
-def sim_csv_header() -> str:
-    return ",".join(("layer", "m", "sparsity", *_CSV_COLUMNS))
-
-
-def sim_csv_row(layer_name: str, m: int, sparsity: float, rep: SimReport) -> str:
-    return _csv_line((layer_name, m, sparsity, *(getattr(rep, f) for f in _CSV_COLUMNS.values())))

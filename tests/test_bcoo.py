@@ -16,9 +16,7 @@ from winosim.bcoo import (
     bcoo_encode,
     bcoo_from_bytes,
     bcoo_to_bytes,
-    load_bcoo,
     prune,
-    save_bcoo,
 )
 from winosim.layout import (
     _AXIS_BITS,
@@ -162,7 +160,7 @@ def test_prune_breaks_magnitude_ties_by_row_then_col():
     assert np.array_equal(from_zmorton(batch.mats[0]), m)  # input left unmodified
 
 
-def test_serialization_round_trip(tmp_path):
+def test_serialization_round_trip():
     rng = np.random.default_rng(3)
     m = _random_sparse(rng, 12, 9, 0.6)
     enc = bcoo_encode(to_zmorton(m, 4))
@@ -173,10 +171,6 @@ def test_serialization_round_trip(tmp_path):
     dec, consumed = bcoo_from_bytes(blob)
     assert consumed == len(blob)
     assert np.array_equal(from_zmorton(bcoo_decode(dec)), m)
-
-    path = tmp_path / "w.bcoo"
-    save_bcoo(path, enc)
-    assert np.array_equal(from_zmorton(bcoo_decode(load_bcoo(path))), m)
 
 
 def test_deserialization_rejects_truncation():

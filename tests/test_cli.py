@@ -87,19 +87,31 @@ def test_simulate_csv(tmp_path):
     assert lines[1].startswith("a,2,")
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_simulate_takes_each_layers_filter_width(tmp_path, m):
+def _assert_simulate_is_dse_projection(tmp_path, m, sparsity="0", extra=()):
     # a 3x3 and a 5x5 layer in one spec: simulate prices each with its own F(m, r), as dse does
     spec = tmp_path / "net.cfg"
     spec.write_text("conv a 8 8 4 4 3 1\nconv b 8 8 4 4 5 2\n")
     sim_csv, dse_csv = tmp_path / "sim.csv", tmp_path / "dse.csv"
-    assert run_cli(["simulate", "--spec", str(spec), "--m", str(m), "--out", str(sim_csv)]) == 0
-    assert run_cli(["dse", "--spec", str(spec), "--m-values", str(m), "--out", str(dse_csv)]) == 0
+    common = ["--spec", str(spec), *extra]
+    assert run_cli(["simulate", *common, "--m", str(m), "--sparsity", sparsity,
+                    "--out", str(sim_csv)]) == 0
+    assert run_cli(["dse", *common, "--m-values", str(m), "--sparsities", sparsity,
+                    "--out", str(dse_csv)]) == 0
     sim_rows = [line.split(",") for line in sim_csv.read_text().splitlines()]
     dse_rows = [line.split(",") for line in dse_csv.read_text().splitlines()]
     assert len(sim_rows) == len(dse_rows) == 3
     # dse's key columns, then its simulator columns, are simulate's columns
     assert [row[:3] + row[-5:] for row in dse_rows] == sim_rows
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_simulate_takes_each_layers_filter_width(tmp_path, m):
+    _assert_simulate_is_dse_projection(tmp_path, m)
+
+
+def test_simulate_is_dse_projection_with_sparse_architecture_flags(tmp_path):
+    _assert_simulate_is_dse_projection(
+        tmp_path, 2, "0.9", ["--fifo-depth", "3", "--clusters", "3", "--seed", "7"])
 
 
 def test_simulate_has_no_r_flag():
@@ -146,7 +158,8 @@ def test_dse_m_sweep(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "dse"])
-@pytest.mark.parametrize("layer", ["conv a 1 1 2 2 3 0", "conv a 8 8 2 2 3 -1"])
+@pytest.mark.parametrize("layer", ["conv a 1 1 2 2 3 0", "conv a 8 8 2 2 3 -1",
+                                   "conv a 8 8 2 2 3 1 2"])
 def test_unpriceable_layer_rejected_with_line_number(tmp_path, capsys, command, layer):
     spec = tmp_path / "net.cfg"
     spec.write_text("conv ok 8 8 2 2 3 1\n" + layer + "\n")

@@ -6,6 +6,7 @@ import pytest
 from winosim.engine import LayerSpec, NetworkSpec, winograd_conv_dense
 from winosim.model import (
     EnergyParams,
+    SweepRow,
     add_counts,
     dse_csv_header,
     dse_csv_rows,
@@ -251,6 +252,36 @@ def test_dse_csv_roundtrip_field_count():
     assert len(header) == len(line)
 
 
+def test_csv_row_writes_numpy_counters_as_builtins():
+    # np.float64 is a float subclass whose repr names its type: a row holding
+    # numpy scalars must write the text of the builtins of the same values
+    layer = LayerSpec("conv", H=4, W=4, C=2, K=2, r=3, pad=1)
+    row = dse_sweep(NetworkSpec(items=(layer,)), [2], [0.5])[0]
+    values = dataclasses.asdict(row)
+    numpy = dataclasses.replace(
+        row,
+        **{k: np.int64(v) for k, v in values.items() if type(v) is int},
+        **{k: np.float64(v) for k, v in values.items() if type(v) is float},
+    )
+    assert isinstance(numpy.bw_reduction, np.float64)
+    want = dse_csv_rows([row])
+    assert dse_csv_rows([numpy]) == want
+    assert want[0].startswith("conv,2,0.5,") and "np." not in want[0]
+    narrow = dataclasses.replace(row, m=np.uint8(2), sparsity=np.float32(0.1),
+                                 bw_reduction=np.float32(4.0))
+    columns = ("layer", "m", "sparsity", "bw_reduction")
+    assert dse_csv_rows([narrow], columns) == [f"conv,2,{float(np.float32(0.1))!r},4.0"]
+
+
+def test_csv_shape():
+    # the columns pick and order SweepRow fields; the default is every field
+    layer = LayerSpec("t", H=4, W=4, C=4, K=4, r=3, pad=1)
+    rows = dse_sweep(NetworkSpec(items=(layer,)), [2], [0.0])
+    assert dse_csv_header().split(",") == [f.name for f in dataclasses.fields(SweepRow)]
+    assert dse_csv_header(("layer", "cycles", "m")) == "layer,cycles,m"
+    assert dse_csv_rows(rows, ("layer", "cycles", "m")) == [f"t,{rows[0].cycles},2"]
+
+
 def test_network_config_round_trip():
     net = vgg16_spec()
     text = format_network_config(net)
@@ -263,6 +294,18 @@ def test_network_config_rejects_garbage():
         parse_network_config("conv incomplete 1 2\n")
     with pytest.raises(ValueError):
         parse_network_config("warble\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("conv a 8 8 4 4 3 1 2", "conv takes 7 fields, got 8"),
+    ("conv a 8 8 4 4 3", "conv takes 7 fields, got 6"),
+    ("pool 2", "pool takes 0 fields, got 1"),
+    ("fc f 10 20 30", "fc takes 3 fields, got 4"),
+])
+def test_network_config_requires_exact_field_count(line, message):
+    # an extra field, such as a stride, must not be dropped silently
+    with pytest.raises(ValueError, match=f"^network config line 2: {message}$"):
+        parse_network_config("pool\n" + line + "\n")
 
 
 def test_scale_network():

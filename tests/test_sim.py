@@ -18,8 +18,6 @@ from winosim.sim import (
     simulate_cluster_sparse,
     simulate_layer,
     simulate_transform,
-    sim_csv_header,
-    sim_csv_row,
 )
 from winosim.sim import (
     _fifo_misses,
@@ -302,11 +300,13 @@ def test_cluster_dimension_mismatch(cfg):
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 @pytest.mark.parametrize("U, V, message", [
-    (np.ones((8, 8)), to_zmorton(np.ones((8, 8)), 2), "block sides differ"),
-    (np.ones((8, 4)), to_zmorton(np.ones((8, 8)), 4), "inner dimensions differ"),
-], ids=["block sides", "inner dimensions"])
+    (to_zmorton(np.ones((8, 8)), 4), to_zmorton(np.ones((8, 8)), 2), "block sides differ"),
+    (to_zmorton(np.ones((8, 4)), 4), to_zmorton(np.ones((8, 8)), 4), "inner dimensions differ"),
+    # l = 6 operands on the l = 4 arrays would be priced at 4-cycle issue
+    (to_zmorton(np.ones((6, 6)), 6), to_zmorton(np.ones((6, 6)), 6),
+     "architecture block side 4 != operand block side 6"),
+], ids=["block sides", "inner dimensions", "architecture block side"])
 def test_cluster_rejects_nonconforming_operands(cfg, sparse, U, V, message):
-    U = to_zmorton(U, 4)
     with pytest.raises(ValueError, match=message):
         if sparse:
             simulate_cluster_sparse(bcoo_encode(U), V, cfg)
@@ -494,26 +494,3 @@ def test_layer_bandwidth_reduction_reported(plan, cfg):
     layer = LayerSpec("t", H=8, W=8, C=16, K=16, r=3, pad=1)
     rep = simulate_layer(layer, plan, cfg)
     assert rep.bandwidth_reduction_factor >= 2.0
-
-
-def test_csv_row_writes_numpy_counters_as_builtins():
-    counters = dict(total_cycles=12, external_block_fetches=3, block_matmuls_executed=7,
-                    operand_slots=12, busy_cycles=[5, 7])
-    builtin = SimReport(**counters)
-    numpy = SimReport(**{k: (np.int64(v) if isinstance(v, int) else v) for k, v in counters.items()})
-    assert isinstance(numpy.bandwidth_reduction_factor, np.float64)
-    want = "conv,2,0.5,12,3,9,7,4.0"
-    assert sim_csv_row("conv", 2, 0.5, builtin) == want
-    assert sim_csv_row("conv", np.int32(2), np.float64(0.5), numpy) == want
-    assert sim_csv_row("conv", 2, np.float32(0.5), builtin) == want
-    assert sim_csv_row("conv", np.uint8(2), np.float32(0.1), numpy) == f"conv,2,{float(np.float32(0.1))!r},12,3,9,7,4.0"
-
-
-def test_csv_shape():
-    rep = simulate_layer(LayerSpec("t", H=4, W=4, C=4, K=4, r=3, pad=1), make_plan(2, 3), ArchConfig())
-    header = sim_csv_header().split(",")
-    row = sim_csv_row("t", 2, 0.0, rep).split(",")
-    assert header == ["layer", "m", "sparsity", "cycles", "ext_fetches",
-                      "local_fetches", "block_matmuls", "bw_reduction"]
-    assert len(row) == len(header)
-    assert row[0] == "t"
