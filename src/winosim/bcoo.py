@@ -289,13 +289,9 @@ _HEADER = struct.Struct("<5q")
 
 
 def bcoo_to_bytes(b: BcooMatrix) -> bytes:
-    parts = [_HEADER.pack(b.rows, b.cols, b.l, len(b.bn), len(b.an))]
-    parts.append(b.bn.astype("<i8").tobytes())
-    parts.append(b.bi.astype("<i8").tobytes())
-    parts.append(b.ai.astype("<i8").tobytes())
-    parts.append(b.aj.astype("<i8").tobytes())
-    parts.append(b.an.astype("<f8").tobytes())
-    return b"".join(parts)
+    ints = [vec.astype("<i8").tobytes() for vec in (b.bn, b.bi, b.ai, b.aj)]
+    head = _HEADER.pack(b.rows, b.cols, b.l, len(b.bn), len(b.an))
+    return b"".join([head, *ints, b.an.astype("<f8").tobytes()])
 
 
 def bcoo_from_bytes(buf: bytes, offset: int = 0) -> tuple[BcooMatrix, int]:

@@ -49,8 +49,10 @@ from .layout import (
     _block_extent,
     _filter_stack,
     _input_stack,
-    _morton_encode_array,
+    _axis_width,
+    _morton_weight,
     _output_extent,
+    _placed,
     _tile_counts,
     assemble_output,
     extract_tiles,
@@ -174,11 +176,8 @@ def _order_bits(mb: int, nb: int, pb: int) -> list[tuple[int, int]]:
     Each recursion level halves the row, then the column, then the inner
     block range; a dimension whose extent is used up adds no more bits.
     """
-    extents = (mb, nb, pb)  # indexed by _ROW, _INNER, _COL
-    for extent, label in zip(extents, ("rows", "inner", "cols")):
-        if extent < 1 or extent & (extent - 1):
-            raise ValueError(f"block {label} count {extent} is not a power of two")
-    widths = [int(extent).bit_length() - 1 for extent in extents]
+    labels = ("rows", "inner", "cols")  # indexed by _ROW, _INNER, _COL
+    widths = [_axis_width(extent, label) for extent, label in zip((mb, nb, pb), labels)]
     return [
         (dim, widths[dim] - 1 - level)
         for level in range(max(widths))
@@ -188,22 +187,14 @@ def _order_bits(mb: int, nb: int, pb: int) -> list[tuple[int, int]]:
 
 
 def _schedule_codes(order) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Morton (c, a, b) codes of every counter value, its bits placed per `order`."""
-    ops = np.arange(1 << len(order), dtype=np.int64)
-    coords = np.zeros((3, len(ops)), dtype=np.int64)
-    for shift, (dim, bit) in enumerate(reversed(order)):
-        coords[dim] |= ((ops >> shift) & 1) << bit
-    row, inner, col = coords
-    return (
-        _morton_encode_array(row, col),
-        _morton_encode_array(row, inner),
-        _morton_encode_array(inner, col),
-    )
+    """Morton (c, a, b) codes of every counter value, its bits placed per `order`; read-only."""
+    pairs = ((_ROW, _COL), (_ROW, _INNER), (_INNER, _COL))
+    return tuple(_placed(order, _morton_weight(hi, lo)) for hi, lo in pairs)
 
 
 @lru_cache(maxsize=64)
 def matmul_streams(mb: int, nb: int, pb: int) -> tuple[MatmulStream, ...]:
-    """Streams for an (mb x nb) by (nb x pb) block-grid multiply.
+    """Streams for an (mb x nb) by (nb x pb) block-grid multiply; arrays read-only.
 
     All grid extents must be powers of two.  The top row and column bits
     of the counter pick the top-level output quadrant, so each quadrant is
@@ -220,8 +211,26 @@ def matmul_streams(mb: int, nb: int, pb: int) -> tuple[MatmulStream, ...]:
 
 
 @lru_cache(maxsize=64)
+def _operand_keys(mb: int, nb: int, pb: int) -> tuple[np.ndarray, np.ndarray]:
+    """What a cluster replay reads of matmul_streams(mb, nb, pb), as (a, b); read-only.
+
+    a[step, row half] is the weight block's Morton code, which a row
+    half's streams share; b[col half, step] is the feature-map block's
+    (inner * pb + column) rank, which a column half's streams share.  The
+    quadrant bit a key varies with is placed last (a) or first (b).
+    """
+    order = _order_bits(mb, nb, pb)
+    n_row_q, n_quadrant = int(mb > 1), (mb > 1) + (pb > 1)
+    row_q, col_q, rest = order[:n_row_q], order[n_row_q:n_quadrant], order[n_quadrant:]
+    a = _placed(rest + row_q, _morton_weight(_ROW, _INNER), np.uint32)
+    rank = {_INNER: pb, _COL: 1}  # inner * pb + column
+    b = _placed(col_q + rest, lambda dim, bit: rank.get(dim, 0) << bit, np.uint32)
+    return a.reshape(-1, 1 << n_row_q), b.reshape(1 << len(col_q), -1)
+
+
+@lru_cache(maxsize=64)
 def matmul_trace(mb: int, nb: int, pb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unrolled (c, a, b) block-operation sequence, statement-interleaved.
+    """Unrolled (c, a, b) block-operation sequence, statement-interleaved; arrays read-only.
 
     Statements (runs of operations accumulating into one output block)
     rotate round-robin across the top-level quadrant streams, reproducing

@@ -44,14 +44,39 @@ _AXIS_LIMIT = 1 << _AXIS_BITS
 _GRID_LIMIT = 1 << 28
 
 
-def _spread_bits(v):
-    # Insert a zero bit between each of the low 16 bits.
-    v = v & 0xFFFF
-    v = (v | (v << 8)) & 0x00FF00FF
-    v = (v | (v << 4)) & 0x0F0F0F0F
-    v = (v | (v << 2)) & 0x33333333
-    v = (v | (v << 1)) & 0x55555555
-    return v
+def _axis_width(extent: int, label: str) -> int:
+    """Bits of a power-of-two block extent that fits a Morton axis; else ValueError."""
+    if extent < 1 or extent & (extent - 1):
+        raise ValueError(f"block {label} count {extent} is not a power of two")
+    if extent > _AXIS_LIMIT:
+        raise ValueError(f"block coordinates must lie in [0, 2**{_AXIS_BITS})")
+    return int(extent).bit_length() - 1
+
+
+def _morton_weight(hi: int, lo: int):
+    """_placed weight of a Morton code: bit k of dimension `hi` goes to bit 2k+1, of `lo` to 2k."""
+    return lambda dim, bit: (2 << 2 * bit) if dim == hi else (1 << 2 * bit) if dim == lo else 0
+
+
+def _placed(order, weight, dtype=np.int64) -> np.ndarray:
+    """For each counter in arange(2**len(order)), the OR of weight(dim, bit) over its set bits.
+
+    order lists the (dim, bit) each counter bit stands for, most significant
+    first; weights must not overlap.  One outer OR per 8-bit table builds
+    it.  Read-only, as the memos built on it share it with every caller.
+    """
+    out = np.zeros(1, dtype)
+    for lo in range(0, len(order), 8):
+        table = np.zeros(1, dtype)
+        for dim, bit in order[lo : lo + 8]:
+            table = np.bitwise_or.outer(table, np.array((0, weight(dim, bit)), dtype)).ravel()
+        out = np.bitwise_or.outer(out, table).ravel()
+    out.setflags(write=False)
+    return out
+
+
+# Every byte, its bits spread to the even bit positions
+_SPREAD_BYTE = _placed([(0, bit) for bit in range(7, -1, -1)], lambda _, bit: 1 << 2 * bit)
 
 
 @lru_cache(maxsize=1)
@@ -84,7 +109,8 @@ def _morton_encode_array(rows, cols):
     rows, cols = np.asarray(rows), np.asarray(cols)
     if np.any((rows | cols) >> _AXIS_BITS):  # a negative coordinate sets the high bits too
         raise ValueError(f"block coordinates must lie in [0, 2**{_AXIS_BITS})")
-    return (_spread_bits(rows) << 1) | _spread_bits(cols)
+    low = (_SPREAD_BYTE[rows & 0xFF] << 1) | _SPREAD_BYTE[cols & 0xFF]
+    return (((_SPREAD_BYTE[rows >> 8] << 1) | _SPREAD_BYTE[cols >> 8]) << 16) | low
 
 
 def _morton_decode_array(codes):
@@ -145,11 +171,11 @@ class ZMortonMatrix:
 
 @lru_cache(maxsize=64)
 def _grid_codes(block_rows: int, block_cols: int) -> np.ndarray:
-    """Sorted Morton codes of a block grid; read-only, as the cache shares it."""
-    rr, cc = np.meshgrid(np.arange(block_rows), np.arange(block_cols), indexing="ij")
-    codes = np.sort(_morton_encode_array(rr.ravel(), cc.ravel()))
-    codes.setflags(write=False)
-    return codes
+    """Sorted Morton codes of a power-of-two block grid; read-only, as the cache shares it."""
+    widths = (_axis_width(block_rows, "rows"), _axis_width(block_cols, "cols"))
+    # the counter takes the bits in code order, so the codes come out ascending
+    order = [(dim, k) for k in reversed(range(max(widths))) for dim in (0, 1) if k < widths[dim]]
+    return _placed(order, _morton_weight(0, 1))
 
 
 @lru_cache(maxsize=64)

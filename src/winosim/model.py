@@ -195,20 +195,15 @@ def scale_network(net: NetworkSpec, divisor: int) -> NetworkSpec:
         raise ValueError("divisor must be >= 1")
     if divisor == 1:
         return net
-    items = []
-    for it in net.items:
-        if isinstance(it, LayerSpec):
-            items.append(
-                replace(
-                    it,
-                    H=-(-it.H // divisor),
-                    W=-(-it.W // divisor),
-                    C=max(-(-it.C // divisor), 1),
-                    K=max(-(-it.K // divisor), 1),
-                )
-            )
-        else:
-            items.append(it)
+
+    def shrink(n: int) -> int:
+        return -(-n // divisor)  # never below 1, as a LayerSpec extent is at least 1
+
+    items = (
+        replace(it, H=shrink(it.H), W=shrink(it.W), C=shrink(it.C), K=shrink(it.K))
+        if isinstance(it, LayerSpec) else it
+        for it in net.items
+    )
     return NetworkSpec(items=tuple(items))
 
 
@@ -284,10 +279,7 @@ def dse_sweep(
                 m_w_eff = int(round(m_w * surviving))
                 d_wk_eff = int(round(d_wk * surviving))
                 e_tot = _energy(ep, d_wi, d_wo, d_wk_eff, m_w_eff, s_w + s_b + s_a)
-                if simulate:
-                    rep = simulate_layer(layer, lplan, lcfg, s, seed)
-                else:
-                    rep = SimReport()
+                rep = simulate_layer(layer, lplan, lcfg, s, seed) if simulate else SimReport()
                 rows.append(
                     SweepRow(
                         layer=layer.name,

@@ -121,14 +121,7 @@ _BT_23 = np.array(
 
 def _interpolation_points(n: int) -> np.ndarray:
     """Deterministic point sequence 0, 1, -1, 2, -2, 3, -3, ..."""
-    pts = [0.0]
-    k = 1
-    while len(pts) < n:
-        pts.append(float(k))
-        if len(pts) < n:
-            pts.append(float(-k))
-        k += 1
-    return np.array(pts[:n])
+    return np.array([0.0, *(sign * k for k in range(1, n) for sign in (1.0, -1.0))][:n])
 
 
 def _toom_cook_matrices(m: int, r: int):
@@ -144,11 +137,7 @@ def _toom_cook_matrices(m: int, r: int):
         v[l - 1, width - 1] = 1.0
         return v
 
-    va = vand(m)
-    vg = vand(r)
-    vc = vand(l)
-    bt = np.linalg.inv(vc.T)
-    return va.T.copy(), vg, bt
+    return vand(m).T.copy(), vand(r), np.linalg.inv(vand(l).T)
 
 
 def _verify_plan(plan: WinogradPlan) -> float:

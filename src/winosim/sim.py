@@ -41,8 +41,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bcoo import BcooMatrix
-from .engine import LayerSpec, _block_grid, matmul_streams
-from .layout import ZMortonMatrix, _block_extent, _grid_codes, _morton_decode_array
+from .engine import LayerSpec, _block_grid, _operand_keys
+from .layout import ZMortonMatrix, _block_extent, _grid_codes
 from .plans import WinogradPlan
 
 __all__ = [
@@ -145,19 +145,10 @@ def simulate_transform(tile_count: int, cfg: ArchConfig) -> SimReport:
     """
     if tile_count < 0:
         raise ValueError("tile_count must be >= 0")
-    n = cfg.transform_arrays
+    n, issue = cfg.transform_arrays, cfg.cycles_per_block_matmul_issue
     per_array = [tile_count // n + (1 if i < tile_count % n else 0) for i in range(n)]
-
-    def pass_cycles(tiles: int) -> int:
-        if tiles == 0:
-            return 0
-        return cfg.transform_pass_cycles + (tiles - 1) * cfg.cycles_per_block_matmul_issue
-
-    busy = [2 * pass_cycles(a) for a in per_array]
-    return SimReport(
-        total_cycles=max(busy) if busy else 0,
-        busy_cycles=busy,
-    )
+    busy = [2 * (cfg.transform_pass_cycles + (t - 1) * issue) if t else 0 for t in per_array]
+    return SimReport(total_cycles=max(busy), busy_cycles=busy)  # transform_arrays >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +177,9 @@ def _fifo_misses(keys: list, capacity: int, cost: list) -> tuple[int, int]:
 
 
 def _run_cluster_schedules(
-    streams, cfg: ArchConfig, nnz: np.ndarray | None = None, collect_steps: bool = False
+    keys, cfg: ArchConfig, nnz: np.ndarray | None = None, collect_steps: bool = False
 ) -> list[SimReport]:
-    """Replay the lockstep streams through the cluster's operand FIFOs, once per position.
+    """Replay the lockstep streams' operand keys through the cluster's FIFOs, once per position.
 
     `nnz` is None for the dense datapath, which yields one report, or a
     (position, weight code) table of each present weight block's nonzero
@@ -198,20 +189,17 @@ def _run_cluster_schedules(
     per column group.  The table must span every weight code of the
     streams.  Returns one report per position.
 
-    Streams are row-half major.  The streams of one row half share their
-    weight codes (and so their activity), those of one column half their
-    feature-map codes, and at every step half 0's code lies below half
-    1's, so each step's distinct ascending codes need no sort.  Activity
-    and the counts derived from it are built for all positions at once;
-    per position, each buffer's access sequence goes to one list walk.
+    `keys` is engine._operand_keys of the block grid.  Weight blocks are
+    keyed by Morton code, feature-map blocks by (row, column) rank: a
+    skinny grid's codes spread far wider than its block count.  At every
+    step half 0's key lies below half 1's, so each step's distinct
+    ascending keys need no sort.  Activity and the counts derived from it
+    are built for all positions at once; per position, each buffer's
+    access sequence goes to one list walk.
     """
     issue = cfg.cycles_per_block_matmul_issue
-    n_col_halves = 1 + max(s.col_half for s in streams)
-    a = np.stack([s.a for s in streams[::n_col_halves]], axis=1)  # (step, row half)
-    # Feature-map blocks are keyed by (row, column) rank, not Morton code: a
-    # skinny grid's codes spread far wider than its block count.
-    rows, cols = _morton_decode_array(np.stack([s.b for s in streams[:n_col_halves]]))
-    b = rows * (int(cols.max()) + 1) + cols
+    a, b = keys
+    n_col_halves = len(b)
     sparse = nnz is not None
     if sparse:
         member = nnz > 0  # member[pos, code]: does position pos run operations on weight code?
@@ -225,7 +213,7 @@ def _run_cluster_schedules(
     steps = ran.sum(axis=1).tolist()
     macs = (n_col_halves * act.sum(axis=(1, 2))).tolist()
     busy = np.zeros((len(member), 4), dtype=np.int64)
-    busy[:, : len(streams)] = np.repeat(issue * act.sum(axis=1), n_col_halves, axis=1)
+    busy[:, : a.shape[1] * n_col_halves] = np.repeat(issue * act.sum(axis=1), n_col_halves, axis=1)
     busy = busy.tolist()
 
     reps = []
@@ -274,7 +262,7 @@ def simulate_cluster_dense(
     U: ZMortonMatrix, V: ZMortonMatrix, cfg: ArchConfig, collect_steps: bool = False
 ) -> SimReport:
     """Price one cluster running U times V; engine.recursive_matmul computes the product."""
-    return _run_cluster_schedules(matmul_streams(*_cluster_grid(U, V, cfg)), cfg, None, collect_steps)[0]
+    return _run_cluster_schedules(_operand_keys(*_cluster_grid(U, V, cfg)), cfg, None, collect_steps)[0]
 
 
 def simulate_cluster_sparse(
@@ -290,7 +278,7 @@ def simulate_cluster_sparse(
     mb, nb, pb = _cluster_grid(U, V, cfg)
     nnz = np.zeros((1, _grid_codes(mb, nb)[-1] + 1), dtype=np.int64)
     nnz[0, U.bn] = np.diff(U.bi)
-    return _run_cluster_schedules(matmul_streams(mb, nb, pb), cfg, nnz, collect_steps)[0]
+    return _run_cluster_schedules(_operand_keys(mb, nb, pb), cfg, nnz, collect_steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +360,7 @@ def _simulate_geometry(
     """
     l = cfg.l
     mb, nb, pb = (_block_extent(n, l) for n in (K, C, P))
-    streams = matmul_streams(mb, nb, pb)
+    keys = _operand_keys(mb, nb, pb)
 
     if sparsity > 0.0:
         # Each position keeps the most durable blocks of its draw; survivor
@@ -384,10 +372,10 @@ def _simulate_geometry(
         block_nnz = _synthetic_block_nnz(l, sparsity)
         nnz = np.zeros((l * l, grid_codes[-1] + 1), dtype=np.min_scalar_type(block_nnz))
         nnz[np.arange(l * l)[:, None], grid_codes[orders]] = block_nnz
-        reps = _run_cluster_schedules(streams, cfg, nnz)
+        reps = _run_cluster_schedules(keys, cfg, nnz)
     else:
         # Every dense position replays the same streams, so one replay serves all l^2.
-        reps = _run_cluster_schedules(streams, cfg) * (l * l)
+        reps = _run_cluster_schedules(keys, cfg) * (l * l)
 
     cluster_cycles = [0] * cfg.clusters
     busy = [0] * (cfg.clusters * 4)

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from winosim import cli
+from winosim import cli, layout, sim
 from winosim.bcoo import bcoo_from_bytes
 from winosim.engine import direct_conv, load_tensor, save_tensor
 from winosim.model import format_network_config, vgg16_spec
@@ -118,6 +118,18 @@ def test_simulate_has_no_r_flag():
     # r comes from each layer of the spec
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["simulate", "--r", "5"])
+
+
+def test_simulate_and_dse_never_build_the_morton_decode_table(tmp_path):
+    # The replay takes feature-map ranks from the schedule; the process-wide
+    # 512 KB decode table serves BCOO validation and Z-Morton packing only.
+    layout._compact_table.cache_clear()
+    sim._simulate_geometry.cache_clear()  # so every geometry replays
+    common = ["--spec", "vgg16", "--scale", "16", "--seed", "3"]
+    assert run_cli(["simulate", *common, "--out", str(tmp_path / "sim.csv")]) == 0
+    assert run_cli(["dse", *common, "--m-values", "2,4", "--sparsities", "0.6,0.9",
+                    "--out", str(tmp_path / "dse.csv")]) == 0
+    assert layout._compact_table.cache_info().misses == 0
 
 
 def test_dse_byte_identical_reruns(tmp_path):

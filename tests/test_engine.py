@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from winosim.bcoo import BcooFormatError, BcooMatrix, bcoo_decode, bcoo_encode
 from winosim.engine import (
     LayerSpec,
+    _operand_keys,
     block_matmul_sparse,
     compress_filters,
     direct_conv,
@@ -23,7 +24,7 @@ from winosim.engine import (
     winograd_conv_dense,
     winograd_conv_sparse,
 )
-from winosim.layout import _morton_encode_array, from_zmorton, to_zmorton
+from winosim.layout import _morton_decode_array, _morton_encode_array, from_zmorton, to_zmorton
 from winosim.plans import OpCounters, make_plan
 
 
@@ -212,15 +213,41 @@ def _reference_schedule(mb, nb, pb):
     return streams, trace
 
 
+# One dimension alone fills more than one 8-bit chunk of the counter.
+_SKINNY_GRIDS = [(1, 1, 512), (512, 1, 1), (1, 512, 1), (2, 256, 4), (256, 4, 2), (4, 2, 1024)]
+
+
 def test_schedule_matches_recursive_reference():
     extents = [1, 2, 4, 8, 16, 32]
-    for mb, nb, pb in product(extents, repeat=3):
+    for mb, nb, pb in list(product(extents, repeat=3)) + _SKINNY_GRIDS:
         ref_streams, ref_trace = _reference_schedule(mb, nb, pb)
         streams = matmul_streams(mb, nb, pb)
         got = [(s.col_half, list(zip(s.c.tolist(), s.a.tolist(), s.b.tolist()))) for s in streams]
         assert got == ref_streams, (mb, nb, pb)
         cc, aa, bb = matmul_trace(mb, nb, pb)
         assert list(zip(cc.tolist(), aa.tolist(), bb.tolist())) == ref_trace, (mb, nb, pb)
+
+
+@pytest.mark.parametrize("grid", list(product([1, 2, 8], repeat=3)) + _SKINNY_GRIDS)
+def test_operand_keys_are_the_streams_keys(grid):
+    # the replay's keys: weight codes of column half 0, feature-map ranks of row half 0
+    pb = grid[2]
+    streams = matmul_streams(*grid)
+    n_col_halves = 2 if pb > 1 else 1
+    a, b = _operand_keys(*grid)
+    assert a.T.tolist() == [s.a.tolist() for s in streams[::n_col_halves]]
+    inner, col = _morton_decode_array(np.stack([s.b for s in streams[:n_col_halves]]))
+    assert b.tolist() == (inner * pb + col).tolist()
+
+
+def test_memoized_schedules_are_read_only():
+    # the memos hand every caller the same arrays, so a write would change later simulations
+    arrays = [*matmul_trace(4, 4, 4), *_operand_keys(4, 4, 4)]
+    arrays += [arr for s in matmul_streams(4, 4, 4) for arr in (s.c, s.a, s.b)]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 63
+    assert matmul_streams(4, 4, 4)[0].a[0] == 0
 
 
 def test_schedule_rejects_non_power_of_two_extents():

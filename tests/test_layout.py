@@ -21,7 +21,7 @@ from winosim.layout import (
     transform_tiles,
     zmorton_zeros,
 )
-from winosim.engine import matmul_streams
+from winosim.engine import _operand_keys, matmul_streams, matmul_trace
 from winosim.plans import make_plan
 
 
@@ -64,6 +64,10 @@ def test_morton_array_paths_refuse_to_alias():
         zmorton_zeros(1, 1 << 17, 1)
     with pytest.raises(ValueError):
         matmul_streams(1, 1, 1 << 17)
+    with pytest.raises(ValueError):
+        matmul_trace(1, 1, 1 << 17)
+    with pytest.raises(ValueError):
+        _operand_keys(1 << 17, 1, 1)
 
 
 def test_zmorton_rejects_block_side_below_one():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from test_engine import _malformed_records
 from winosim.bcoo import BcooFormatError, BcooMatrix, bcoo_encode
-from winosim.engine import LayerSpec, matmul_streams
+from winosim.engine import LayerSpec, _operand_keys, matmul_streams
 from winosim.layout import _grid_codes, to_zmorton
 from winosim.plans import make_plan
 from winosim.sim import (
@@ -197,7 +197,7 @@ def test_cluster_schedule_matches_sort_based_reference(extents, fifo_depth, spar
     cfg = ArchConfig(fifo_depth=fifo_depth)
     weights = _draw_weights(data, extents) if sparse else None
     table = None if weights is None else _nnz_table([weights], extents)
-    [got] = _run_cluster_schedules(streams, cfg, table, collect_steps=True)
+    [got] = _run_cluster_schedules(_operand_keys(*extents), cfg, table, collect_steps=True)
     want = _reference_run_cluster_schedule(streams, cfg, weights, collect_steps=True)
     assert got == want
 
@@ -216,7 +216,7 @@ def test_batched_replay_matches_reference_per_position(extents, fifo_depth, data
     weights = [_draw_weights(data, extents) for _ in range(n_pos)]
     calls = [(None, [None]), (_nnz_table(weights, extents), weights)]
     for table, per_position in calls:
-        got = _run_cluster_schedules(streams, cfg, table, collect_steps=True)
+        got = _run_cluster_schedules(_operand_keys(*extents), cfg, table, collect_steps=True)
         assert len(got) == len(per_position)
         for rep, w in zip(got, per_position):
             want = _reference_run_cluster_schedule(streams, cfg, w, collect_steps=True)
