@@ -13,16 +13,15 @@ BI, AI, AJ as int64 and AN as float64.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
 from .layout import (
     _AXIS_BITS,
     _AXIS_LIMIT,
+    _GRID_LIMIT,
     TransformedBatch,
     ZMortonMatrix,
     _block_extent,
@@ -30,7 +29,6 @@ from .layout import (
     from_zmorton,
     morton_encode,
     to_zmorton,
-    zmorton_zeros,
 )
 
 __all__ = [
@@ -48,12 +46,17 @@ class BcooFormatError(ValueError):
     """Structural violation in a BCOO container."""
 
 
-@dataclass
-class BcooMatrix:
-    """Block-sparse matrix.  Treat instances as immutable once built.
+_VECTORS = ("bn", "bi", "ai", "aj", "an")
 
-    BN, BI, AI and AJ hold integers of any type that int64 holds (int64
-    when parsed or encoded); AN holds real floating-point values.
+
+@dataclass(frozen=True)
+class BcooMatrix:
+    """Block-sparse matrix, well-formed by construction.
+
+    BN, BI, AI and AJ may be given as integers of any type that int64
+    holds, and AN as real floating-point values.  The record keeps its own
+    read-only copies, int64 and float64, and raises BcooFormatError unless
+    they form a well-formed BCOO matrix; no later stage checks it again.
     """
 
     rows: int
@@ -63,25 +66,39 @@ class BcooMatrix:
     bi: np.ndarray  # len(bn) + 1 start offsets
     ai: np.ndarray  # in-block row of each nonzero
     aj: np.ndarray  # in-block column of each nonzero
-    an: np.ndarray  # nonzero values (float64 when parsed or encoded)
+    an: np.ndarray  # nonzero values
+
+    def __post_init__(self):
+        for name in _VECTORS[:4]:
+            vec = getattr(self, name)
+            # any signed integer type, or an unsigned one narrower than 64 bits
+            if not (isinstance(vec, np.ndarray) and vec.ndim == 1 and (
+                    vec.dtype.kind == "i" or (vec.dtype.kind == "u" and vec.dtype.itemsize < 8))):
+                raise BcooFormatError(f"{name.upper()} must be a 1-D integer array that int64 holds")
+        if not (isinstance(self.an, np.ndarray) and self.an.ndim == 1 and self.an.dtype.kind == "f"):
+            raise BcooFormatError("AN must be a 1-D real floating-point array")
+        self._own(np.array)
+        _check_record(self)
+
+    def _own(self, convert) -> None:
+        """Replace each vector by convert(vector, int64 or float64), made read-only."""
+        for name in _VECTORS:
+            vec = convert(getattr(self, name), np.float64 if name == "an" else np.int64)
+            vec.setflags(write=False)
+            object.__setattr__(self, name, vec)
+
+    @classmethod
+    def _trusted(cls, **fields) -> BcooMatrix:
+        """A record of fresh vectors that no caller holds, taken over unchecked: bcoo_encode's path."""
+        rec = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(rec, name, value)
+        rec._own(np.asarray)
+        return rec
 
     @property
     def nnz(self) -> int:
         return len(self.an)
-
-    def owners(self) -> np.ndarray:
-        """Position in BN of the block holding each nonzero."""
-        return np.repeat(np.arange(len(self.bn)), np.diff(self.bi))
-
-    def block_stack(self) -> np.ndarray:
-        """The stored blocks as a dense (len(BN), l, l) stack, in BN order."""
-        stack = np.zeros((len(self.bn), self.l, self.l))
-        stack[self.owners(), self.ai, self.aj] = self.an
-        return stack
-
-    def validate(self) -> None:
-        """Raise BcooFormatError unless the record is a well-formed BCOO matrix."""
-        _nonzero_entries([self])
 
 
 @lru_cache(maxsize=None)  # grid extents are powers of two up to 2**16: at most 17 * 17 entries
@@ -89,117 +106,62 @@ def _last_block_code(block_rows: int, block_cols: int) -> int:
     return morton_encode(block_rows - 1, block_cols - 1)
 
 
-def _joined(vectors, dtype=None) -> np.ndarray:
-    """One array of the given vectors, in order; a lone vector already of `dtype` is not copied."""
-    if len(vectors) == 1 and (dtype is None or vectors[0].dtype == dtype):
-        return vectors[0]
-    return np.concatenate(vectors, dtype=dtype)
+def _check_record(u: BcooMatrix) -> None:
+    """Raise BcooFormatError, naming the first check failed, unless u is well-formed.
 
-
-def _nonzero_entries(records, positions: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate records of one (rows, cols, l); return the (record, row, col) of every nonzero.
-
-    All records are checked together, one vectorised pass per check, in
-    the order a lone record is checked.  BcooFormatError names the first
-    check that a record fails, and with `positions` also the record's
-    index ("weight matrix at position p: ...").  BN, BI, AI and AJ may
-    be of any integer type that int64 holds; AN must be real floating point.
+    Reads u's own int64 (BN, BI, AI, AJ) and float64 (AN) vectors.
     """
-    first = records[0]
-    rows, cols, l = int(first.rows), int(first.cols), int(first.l)
-
-    def fail(message, r=0):
-        raise BcooFormatError(f"weight matrix at position {r}: {message}" if positions else message)
-
-    for r, u in enumerate(records):
-        for name, vec in (("BN", u.bn), ("BI", u.bi), ("AI", u.ai), ("AJ", u.aj)):
-            # any signed integer type, or an unsigned one narrower than 64 bits
-            if not (isinstance(vec, np.ndarray) and vec.ndim == 1 and (
-                    vec.dtype.kind == "i" or (vec.dtype.kind == "u" and vec.dtype.itemsize < 8))):
-                fail(f"{name} must be a 1-D integer array that int64 holds", r)
-        if not (isinstance(u.an, np.ndarray) and u.an.ndim == 1 and u.an.dtype.kind == "f"):
-            fail("AN must be a 1-D real floating-point array", r)
+    rows, cols, l = int(u.rows), int(u.cols), int(u.l)
+    bn, bi, ai, aj, an = u.bn, u.bi, u.ai, u.aj, u.an
     nbr = _block_extent(rows, l)
     nbc = _block_extent(cols, l)
     if max(nbr, nbc) > _AXIS_LIMIT:
-        fail(f"{nbr}x{nbc} block grid exceeds the {_AXIS_BITS}-bit Morton axis")
-    n_blocks = [len(u.bn) for u in records]
-    for r, (u, nb) in enumerate(zip(records, n_blocks)):
-        if len(u.bi) != nb + 1:
-            fail("BI must have exactly len(BN) + 1 entries", r)
-    # Where each record's BI starts and ends in the joined BI; the step
-    # from one record's last entry to the next record's first is no count.
-    bi_ends = list(accumulate(nb + 1 for nb in n_blocks))
-    bi_starts = [0, *bi_ends[:-1]]
-    bi = _joined([u.bi for u in records], np.int64)
-    if bi[bi_starts].any():
-        r = int(np.flatnonzero(bi[bi_starts])[0])
-        fail("BI[0] must be 0" if n_blocks[r] else "empty matrix must have BI == [0]", r)
-    counts = bi[1:] - bi[:-1]
-    steps = [end - 1 for end in bi_ends[:-1]]
-    if steps:
-        counts[steps] = 1
+        raise BcooFormatError(f"{nbr}x{nbc} block grid exceeds the {_AXIS_BITS}-bit Morton axis")
+    if len(bi) != len(bn) + 1:
+        raise BcooFormatError("BI must have exactly len(BN) + 1 entries")
+    if bi[0]:
+        raise BcooFormatError("BI[0] must be 0" if len(bn) else "empty matrix must have BI == [0]")
+    counts = np.diff(bi)
     if len(counts) and (low := counts.min()) <= 0:
-        r = bisect_right(bi_ends, int(np.argmax(counts == low)))
-        fail("BI must be non-decreasing" if low < 0 else "BN lists a block with no nonzeros", r)
-    nnz = [len(u.an) for u in records]
-    for r, (u, n, last) in enumerate(zip(records, nnz, bi[[end - 1 for end in bi_ends]].tolist())):
-        if last != n or len(u.ai) != n or len(u.aj) != n:
-            fail("AI/AJ/AN lengths disagree with BI", r)
-    if steps:
-        counts = np.delete(counts, steps)  # one count per block
-    block_ends = list(accumulate(n_blocks))
-    bn = _joined([u.bn for u in records], np.int64)
-    descending = bn[1:] <= bn[:-1]
-    # a record's first block need not exceed the block before it
-    if record_starts := [end - 1 for end, nb in zip(block_ends[:-1], n_blocks[1:]) if nb and end]:
-        descending[record_starts] = False
-    if descending.any():
-        fail("BN must be strictly ascending", bisect_right(block_ends, int(np.argmax(descending)) + 1))
+        raise BcooFormatError("BI must be non-decreasing" if low < 0 else "BN lists a block with no nonzeros")
+    if bi[-1] != len(an) or len(ai) != len(an) or len(aj) != len(an):
+        raise BcooFormatError("AI/AJ/AN lengths disagree with BI")
+    if (bn[1:] <= bn[:-1]).any():
+        raise BcooFormatError("BN must be strictly ascending")
     # Both grid extents are powers of two, so a code names a grid block
     # exactly when it sets no bit outside the code of the last block.
-    outside = bn & ~_last_block_code(nbr, nbc)
-    if outside.any():
-        fail("BN contains a block number outside the grid", bisect_right(block_ends, int(np.argmax(outside != 0))))
-    nz_ends = list(accumulate(nnz))
-    ai = _joined([u.ai for u in records], np.int64)
-    aj = _joined([u.aj for u in records], np.int64)
-    # unsigned views: a negative entry reads as at least 2**63 >= l
-    if (np.maximum(ai.view(np.uint64), aj.view(np.uint64)) >= l).any():
-        for name, vec in (("AI", ai), ("AJ", aj)):
-            if (outside := vec.view(np.uint64) >= l).any():
-                fail(f"{name} entry outside [0, l)", bisect_right(nz_ends, int(np.argmax(outside))))
-    an = _joined([u.an for u in records])
+    if (bn & ~_last_block_code(nbr, nbc)).any():
+        raise BcooFormatError("BN contains a block number outside the grid")
+    for name, vec in (("AI", ai), ("AJ", aj)):
+        # unsigned view: a negative entry reads as at least 2**63 >= l
+        if (vec.view(np.uint64) >= l).any():
+            raise BcooFormatError(f"{name} entry outside [0, l)")
     if not an.all():
-        fail("AN stores an explicit zero", bisect_right(nz_ends, int(np.argmin(an != 0.0))))
-    del an
-    # The arrays below are as long as AN, so each is computed in place where it can be.
-    owner = np.repeat(np.arange(len(bn)), counts)
-    row, col = (coord[owner] for coord in _morton_decode_array(bn))  # block row and column so far
+        raise BcooFormatError("AN stores an explicit zero")
+    row, col = (coord.repeat(counts) for coord in _morton_decode_array(bn))  # block row and column
     # row * l + ai < rows, rearranged so that it cannot overflow int64
-    bound = rows - 1 - ai
-    bound //= l
-    outside = row > bound
-    np.subtract(cols - 1, aj, out=bound)
-    bound //= l
-    outside |= col > bound
-    del bound
-    if outside.any():
-        fail("nonzero outside the logical matrix", bisect_right(nz_ends, int(np.argmax(outside))))
+    if ((row > (rows - 1 - ai) // l) | (col > (cols - 1 - aj) // l)).any():
+        raise BcooFormatError("nonzero outside the logical matrix")
     # Each nonzero lies strictly after its predecessor in the block, in
     # (AI, AJ) order, which also rules out duplicates.
     d_ai = ai[1:] - ai[:-1]
     later = (d_ai > 0) | ((d_ai == 0) & (aj[1:] > aj[:-1]))
-    del d_ai
-    later[owner[1:] != owner[:-1]] = True  # a block's first nonzero has no predecessor
+    later[bi[1:-1] - 1] = True  # a block's first nonzero has no predecessor
     if not later.all():
-        r = bisect_right(nz_ends, int(np.argmin(later)) + 1)
-        fail("duplicate or out-of-order (AI, AJ) pair within a block", r)
+        raise BcooFormatError("duplicate or out-of-order (AI, AJ) pair within a block")
+
+
+def _nonzero_entries(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (record, row, col) of every nonzero of records that share one l."""
+    l = records[0].l
+    counts = np.concatenate([np.diff(u.bi) for u in records])
+    # block row and column of each nonzero, then its row and column
+    row, col = (coord.repeat(counts) for coord in _morton_decode_array(np.concatenate([u.bn for u in records])))
     row *= l
-    row += ai
+    row += np.concatenate([u.ai for u in records])
     col *= l
-    col += aj
-    return np.repeat(np.arange(len(records)), nnz), row, col
+    col += np.concatenate([u.aj for u in records])
+    return np.repeat(np.arange(len(records)), [u.nnz for u in records]), row, col
 
 
 def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
@@ -207,13 +169,14 @@ def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
     # block-major, row-major within a block; nonzero of a bool mask is the fast kind
     flat = np.flatnonzero(zm.blocks != 0.0)
     owner, ai, aj = np.unravel_index(flat, zm.blocks.shape)
-    counts = np.bincount(owner, minlength=len(zm.block_codes))
+    codes = zm.block_codes
+    counts = np.bincount(owner, minlength=len(codes))
     stored = counts > 0
-    return BcooMatrix(
+    return BcooMatrix._trusted(
         rows=zm.rows,
         cols=zm.cols,
         l=zm.l,
-        bn=zm.block_codes[stored],
+        bn=codes[stored],
         bi=np.concatenate(([0], np.cumsum(counts[stored]))),
         ai=ai,
         aj=aj,
@@ -222,21 +185,24 @@ def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
 
 
 def bcoo_decode(b: BcooMatrix) -> ZMortonMatrix:
-    """Exact inverse of bcoo_encode.  Raises BcooFormatError on bad structure."""
-    b.validate()
-    zm = zmorton_zeros(b.rows, b.cols, b.l)
-    zm.blocks[zm.ranks_of(b.bn)] = b.block_stack()
-    return zm
+    """Exact inverse of bcoo_encode.  ValueError if its padded grid exceeds _GRID_LIMIT entries."""
+    return to_zmorton(_decode_stack([b])[0], b.l)
 
 
-def _decode_stack(records, positions: bool = False) -> np.ndarray:
-    """Validate records of one (rows, cols, l) and decode them into a (len, rows, cols) stack.
+def _decode_stack(records) -> np.ndarray:
+    """Records of one (rows, cols, l) decoded into a dense (len, rows, cols) stack.
 
-    `positions` names a failing record by its index, as _nonzero_entries does.
+    Raises ValueError, before allocating, if the stack exceeds _GRID_LIMIT entries.
     """
-    rows, cols = records[0].rows, records[0].cols
+    rows, cols = int(records[0].rows), int(records[0].cols)
+    entries = len(records) * rows * cols
+    if entries > _GRID_LIMIT:
+        raise ValueError(
+            f"{len(records)} {rows}x{cols} weight matrices hold {entries} entries, "
+            f"over the limit of 2**{_GRID_LIMIT.bit_length() - 1}"
+        )
     out = np.zeros((len(records), rows, cols))
-    flat, row, col = _nonzero_entries(records, positions)
+    flat, row, col = _nonzero_entries(records)
     # (record * rows + row) * cols + col, in place: index arrays are as long as AN
     flat *= rows
     flat += row
@@ -244,7 +210,7 @@ def _decode_stack(records, positions: bool = False) -> np.ndarray:
     flat *= cols
     flat += col
     del col
-    out.ravel()[flat] = _joined([u.an for u in records])
+    out.ravel()[flat] = np.concatenate([u.an for u in records])
     return out
 
 
@@ -308,7 +274,7 @@ def bcoo_from_bytes(buf: bytes, offset: int = 0) -> tuple[BcooMatrix, int]:
         nbytes = count * 8
         if len(buf) - pos < nbytes:
             raise BcooFormatError("truncated BCOO payload")
-        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).copy()
+        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)  # BcooMatrix copies it
         pos += nbytes
         return arr
 
@@ -317,7 +283,5 @@ def bcoo_from_bytes(buf: bytes, offset: int = 0) -> tuple[BcooMatrix, int]:
     ai = take(nnz, "<i8")
     aj = take(nnz, "<i8")
     an = take(nnz, "<f8")
-    mat = BcooMatrix(rows=rows, cols=cols, l=l, bn=bn, bi=bi, ai=ai, aj=aj, an=an)
-    mat.validate()
-    return mat, pos
+    return BcooMatrix(rows=rows, cols=cols, l=l, bn=bn, bi=bi, ai=ai, aj=aj, an=an), pos
 

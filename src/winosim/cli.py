@@ -10,6 +10,7 @@ seed reproduces every run byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import struct
 import sys
 
@@ -124,7 +125,9 @@ def cmd_verify(args) -> int:
         if args.inject_corruption:
             # flip one transformed weight between transform and multiply
             _, enc, _ = engine.compress_filters(flt, plan, 0.0)
-            enc[0].an[0] += 1.0
+            an = enc[0].an.copy()
+            an[0] += 1.0
+            enc[0] = dataclasses.replace(enc[0], an=an)
             got = engine.winograd_conv_sparse(fm, enc, plan, pad=pad)
         else:
             got = engine.winograd_conv_dense(fm, flt, plan, pad=pad)

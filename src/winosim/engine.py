@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bcoo import BcooMatrix, _decode_stack, _nonzero_entries, _prune_dense, bcoo_encode
+from .bcoo import BcooMatrix, _decode_stack, _nonzero_entries, _prune_dense, bcoo_decode, bcoo_encode
 from .layout import (
     TransformedBatch,
     ZMortonMatrix,
@@ -310,13 +310,13 @@ def block_matmul_sparse(
     """Sparse-left block multiply: products whose U block is absent are skipped.
 
     Equal to recursive_matmul on the decoded U, since skipped products are
-    exactly zero.  Counters charge stored nonzeros only.  Raises
-    BcooFormatError unless U is a well-formed BCOO matrix.
+    exactly zero.  Counters charge stored nonzeros only.
     """
-    _block_grid(U, V)  # before block_stack allocates U's l-by-l blocks
+    _block_grid(U, V)  # before the decode allocates U's l-by-l blocks
     _, rows, _ = _nonzero_entries([U])
-    rows_hit = len(np.unique(rows))
-    return _block_matmul(U, U.bn, U.block_stack(), V, U.nnz, rows_hit, counters, trace)
+    zm = bcoo_decode(U)
+    stack = zm.blocks[zm.ranks_of(U.bn)]
+    return _block_matmul(U, U.bn, stack, V, U.nnz, len(np.unique(rows)), counters, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +361,23 @@ def transform_input_batch(fm, plan: WinogradPlan, pad: int) -> TransformedBatch:
     return scatter_to_matrices(transform_tiles(plan, tiles))
 
 
+def _input_of(fm, channels: int) -> np.ndarray:
+    """The (C, H, W) feature map as float; ValueError unless C == channels."""
+    fm = np.asarray(fm, dtype=float)
+    C, _, _ = fm.shape
+    if C != channels:
+        raise ValueError(f"weights expect {channels} channels, input has {C}")
+    return fm
+
+
 def _winograd_conv(fm, U, plan, pad, counters, nnz, rows_hit):
     """Convolve with an (l*l, K, C) transformed weight stack as l*l batched GEMMs.
 
     `nnz` and `rows_hit` are the weight entries and weight rows the
     counters charge (see _charge).
     """
-    fm = np.asarray(fm, dtype=float)
-    C, H, W = fm.shape
-    if U.shape[2] != C:
-        raise ValueError(f"weights expect {U.shape[2]} channels, input has {C}")
+    fm = _input_of(fm, U.shape[2])
+    _, H, W = fm.shape
     out_h, out_w = _output_extent(H, W, plan.r, pad)
     tiles = extract_tiles(fm, plan, pad)
     _, th, tw, l, _ = tiles.shape
@@ -419,11 +426,12 @@ def winograd_conv_sparse(
 
     `u_sparse` is the sequence of l*l BcooMatrix weight matrices (K-by-C
     each) in (i, j) row-major position order.  Counters charge stored
-    nonzeros only.  A malformed record raises BcooFormatError naming its
-    position.
+    nonzeros only.  The records' shape is checked against the input
+    before the (l*l, K, C) weight stack is decoded.
     """
-    _check_records(u_sparse, plan.l)
-    U = _decode_stack(u_sparse, positions=True)
+    _, C = _check_records(u_sparse, plan.l)
+    fm = _input_of(fm, C)
+    U = _decode_stack(u_sparse)
     nnz = np.count_nonzero(U)
     rows_hit = np.count_nonzero(U.any(axis=2))
     return _winograd_conv(fm, U, plan, pad, counters, nnz, rows_hit)

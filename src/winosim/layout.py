@@ -136,17 +136,20 @@ def _block_extent(n: int, l: int) -> int:
 class ZMortonMatrix:
     """A rows-by-cols matrix stored as l-by-l blocks in Morton order.
 
-    `block_codes` holds the sorted Morton codes of all grid blocks (for a
-    non-square block grid the codes are not contiguous) and `blocks` the
-    matching (n_blocks, l, l) data.  Treat instances as immutable once
-    built; they are then safe to share across threads.
+    `blocks` holds the (n_blocks, l, l) data of all grid blocks, in the
+    order of `block_codes`, their sorted Morton codes (for a non-square
+    block grid the codes are not contiguous).  Treat instances as
+    immutable once built; they are then safe to share across threads.
     """
 
     rows: int
     cols: int
     l: int
-    block_codes: np.ndarray
     blocks: np.ndarray
+
+    @property
+    def block_codes(self) -> np.ndarray:
+        return _grid_codes(self.block_rows, self.block_cols)
 
     @property
     def block_rows(self) -> int:
@@ -213,7 +216,7 @@ def to_zmorton(dense, l: int) -> ZMortonMatrix:
     brow, bcol = _grid_coords(nbr, nbc)
     # Advanced indices split by a slice put the block axis first: (n_blocks, l, l).
     blocks = dense.reshape(nbr, l, nbc, l)[brow, :, bcol, :]
-    return ZMortonMatrix(rows=rows, cols=cols, l=l, block_codes=_grid_codes(nbr, nbc), blocks=blocks)
+    return ZMortonMatrix(rows=rows, cols=cols, l=l, blocks=blocks)
 
 
 def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
@@ -230,10 +233,8 @@ def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
 
 def zmorton_zeros(rows: int, cols: int, l: int) -> ZMortonMatrix:
     """An all-zero rows-by-cols matrix; ValueError if its padded grid exceeds _GRID_LIMIT entries."""
-    codes = _grid_codes(*_grid_extents(rows, cols, l))
-    return ZMortonMatrix(
-        rows=rows, cols=cols, l=l, block_codes=codes, blocks=np.zeros((len(codes), l, l))
-    )
+    codes = _grid_codes(*_grid_extents(rows, cols, l))  # ValueError past the Morton axis, too
+    return ZMortonMatrix(rows=rows, cols=cols, l=l, blocks=np.zeros((len(codes), l, l)))
 
 
 def _output_extent(H: int, W: int, r: int, pad: int = 0, stride: int = 1) -> tuple[int, int]:

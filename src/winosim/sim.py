@@ -271,10 +271,8 @@ def simulate_cluster_sparse(
     """Price one cluster running sparse-weight U times V; engine.block_matmul_sparse multiplies.
 
     Only products whose weight block exists are scheduled; the memory
-    access pattern follows the distribution of the stored blocks.  Raises
-    BcooFormatError unless U is a well-formed BCOO matrix.
+    access pattern follows the distribution of the stored blocks.
     """
-    U.validate()
     mb, nb, pb = _cluster_grid(U, V, cfg)
     nnz = np.zeros((1, _grid_codes(mb, nb)[-1] + 1), dtype=np.int64)
     nnz[0, U.bn] = np.diff(U.bi)

@@ -1,5 +1,7 @@
+import dataclasses
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,45 +73,68 @@ def test_encode_dense_8x8():
 @given(
     rows=st.integers(1, 20),
     cols=st.integers(1, 20),
+    l=st.integers(1, 6),
     sparsity=st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0]),
     seed=st.integers(0, 10_000),
 )
-def test_round_trip_property(rows, cols, sparsity, seed):
+def test_round_trip_property(rows, cols, l, sparsity, seed):
     m = _random_sparse(np.random.default_rng(seed), rows, cols, sparsity)
-    enc = bcoo_encode(to_zmorton(m, 4))
+    enc = bcoo_encode(to_zmorton(m, l))
     assert np.array_equal(from_zmorton(bcoo_decode(enc)), m)
+    # bcoo_encode builds its records unchecked; the check accepts each as it is
+    checked = BcooMatrix(enc.rows, enc.cols, enc.l, enc.bn, enc.bi, enc.ai, enc.aj, enc.an)
+    for name in ("bn", "bi", "ai", "aj", "an"):
+        got, want = getattr(checked, name), getattr(enc, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not want.flags.writeable
+
+
+def test_record_owns_read_only_copies():
+    caller = {"bn": np.array([0, 3], dtype=np.int32), "bi": np.array([0, 1, 2]), "ai": np.array([0, 1]),
+              "aj": np.array([1, 0]), "an": np.array([1.5, -2.0], dtype=np.float32)}
+    u = BcooMatrix(8, 8, 4, **caller)
+    zm = to_zmorton(from_zmorton(bcoo_decode(u)), 4)
+    blob = bytearray(bcoo_to_bytes(u))
+    parsed, _ = bcoo_from_bytes(blob)
+    for rec, source in ((u, caller.values()), (bcoo_encode(zm), [zm.blocks]),
+                        (parsed, [np.frombuffer(blob, np.uint8)])):
+        for name in ("bn", "bi", "ai", "aj", "an"):
+            vec = getattr(rec, name)
+            assert vec.dtype == (np.float64 if name == "an" else np.int64)
+            assert not vec.flags.writeable
+            assert not any(np.shares_memory(vec, src) for src in source)
+            with pytest.raises(ValueError, match="read-only"):
+                vec[:1] = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, name, vec.copy())
+    # what the caller goes on to do with its arrays and buffer changes no record
+    caller["ai"][0] = 3
+    blob[40] = 7  # BN[0]
+    assert u.ai.tolist() == [0, 1]
+    assert bcoo_to_bytes(parsed) == bcoo_to_bytes(u) != bytes(blob)
 
 
 def test_decode_rejects_out_of_range_ai():
     enc = bcoo_encode(to_zmorton(np.eye(4), 4))
-    bad = BcooMatrix(
-        rows=enc.rows, cols=enc.cols, l=enc.l,
-        bn=enc.bn, bi=enc.bi,
-        ai=enc.ai.copy(), aj=enc.aj, an=enc.an,
-    )
-    bad.ai[0] = 4
-    with pytest.raises(BcooFormatError):
-        bcoo_decode(bad)
+    ai = enc.ai.copy()
+    ai[0] = 4
+    with pytest.raises(BcooFormatError, match=r"AI entry outside \[0, l\)"):
+        dataclasses.replace(enc, ai=ai)
 
 
 def test_decode_rejects_bad_bi():
     enc = bcoo_encode(to_zmorton(np.eye(4), 4))
-    bad = BcooMatrix(
-        rows=enc.rows, cols=enc.cols, l=enc.l,
-        bn=enc.bn, bi=np.array([1, 4]), ai=enc.ai, aj=enc.aj, an=enc.an,
-    )
-    with pytest.raises(BcooFormatError):
-        bcoo_decode(bad)
+    with pytest.raises(BcooFormatError, match=r"BI\[0\] must be 0"):
+        dataclasses.replace(enc, bi=np.array([1, 4]))
 
 
 def test_decode_rejects_duplicate_position():
-    bad = BcooMatrix(
-        rows=4, cols=4, l=4,
-        bn=np.array([0]), bi=np.array([0, 2]),
-        ai=np.array([1, 1]), aj=np.array([2, 2]), an=np.array([1.0, 2.0]),
-    )
-    with pytest.raises(BcooFormatError):
-        bcoo_decode(bad)
+    with pytest.raises(BcooFormatError, match="duplicate"):
+        BcooMatrix(
+            rows=4, cols=4, l=4,
+            bn=np.array([0]), bi=np.array([0, 2]),
+            ai=np.array([1, 1]), aj=np.array([2, 2]), an=np.array([1.0, 2.0]),
+        )
 
 
 def _batch_of(mat):
@@ -188,6 +213,12 @@ def _record(rows, cols, l, bn=(), bi=(0,), ai=(), aj=(), an=()):
     )
 
 
+def _blob(rows, cols, l, bn=(), bi=(0,), ai=(), aj=(), an=()):
+    """The container bytes of a record, well-formed or not."""
+    words = [rows, cols, l, len(bn), len(an), *bn, *bi, *ai, *aj]
+    return struct.pack(f"<{len(words)}q{len(an)}d", *words, *an)
+
+
 def test_validate_does_not_build_the_block_grid():
     blob = bcoo_to_bytes(_record(2048, 2048, 1))
     assert len(blob) == 48
@@ -203,30 +234,29 @@ def test_validate_does_not_build_the_block_grid():
 def test_validate_requires_row_major_order_within_a_block():
     # one block listing (1, 0) before (0, 0), and one listing (0, 3) before (0, 1)
     for ai, aj in (([1, 0], [0, 0]), ([0, 0], [3, 1])):
-        rec = _record(4, 4, 4, bn=[0], bi=[0, 2], ai=ai, aj=aj, an=[1.0, 2.0])
         with pytest.raises(BcooFormatError, match="out-of-order"):
-            bcoo_from_bytes(bcoo_to_bytes(rec))
+            bcoo_from_bytes(_blob(4, 4, 4, bn=[0], bi=[0, 2], ai=ai, aj=aj, an=[1.0, 2.0]))
     # the order starts afresh in each block
-    _record(8, 8, 4, bn=[0, 1], bi=[0, 1, 2], ai=[3, 0], aj=[3, 0], an=[1.0, 2.0]).validate()
+    _record(8, 8, 4, bn=[0, 1], bi=[0, 1, 2], ai=[3, 0], aj=[3, 0], an=[1.0, 2.0])
 
 
 def test_validate_rejects_grid_past_morton_axis():
     with pytest.raises(BcooFormatError):
-        bcoo_from_bytes(bcoo_to_bytes(_record(1 << 17, 4, 1)))
+        bcoo_from_bytes(_blob(1 << 17, 4, 1))
 
 
 @pytest.mark.parametrize("code", [1 << 40, 4, -1])
 def test_validate_rejects_block_number_outside_grid(code):
     # an 8x4 matrix at l = 4 has a 2x1 block grid: codes 0 and 2 only
     with pytest.raises(BcooFormatError):
-        _record(8, 4, 4, bn=[code], bi=[0, 1], ai=[0], aj=[0], an=[1.0]).validate()
+        _record(8, 4, 4, bn=[code], bi=[0, 1], ai=[0], aj=[0], an=[1.0])
 
 
 def test_validate_rejects_nonzero_in_layout_padding():
-    _record(6, 3, 4, bn=[2], bi=[0, 1], ai=[1], aj=[2], an=[1.0]).validate()
+    _record(6, 3, 4, bn=[2], bi=[0, 1], ai=[1], aj=[2], an=[1.0])
     for ai, aj in ((2, 0), (0, 3)):
         with pytest.raises(BcooFormatError):
-            _record(6, 3, 4, bn=[2], bi=[0, 1], ai=[ai], aj=[aj], an=[1.0]).validate()
+            _record(6, 3, 4, bn=[2], bi=[0, 1], ai=[ai], aj=[aj], an=[1.0])
 
 
 @st.composite
@@ -306,11 +336,9 @@ def test_duplicate_test_survives_a_key_past_int64():
     # l = 2**40 wraps to 0, so a naive key would equate (2**24, 5) and (0, 5).
     big = 1 << 40
     distinct = _record(big, big, big, bn=[0], bi=[0, 2], ai=[0, 1 << 24], aj=[5, 5], an=[1.0, 2.0])
-    distinct.validate()
     assert bcoo_from_bytes(bcoo_to_bytes(distinct))[0].nnz == 2
-    repeated = _record(big, big, big, bn=[0], bi=[0, 2], ai=[1 << 24] * 2, aj=[5, 5], an=[1.0, 2.0])
     with pytest.raises(BcooFormatError, match="duplicate"):
-        bcoo_from_bytes(bcoo_to_bytes(repeated))
+        bcoo_from_bytes(_blob(big, big, big, bn=[0], bi=[0, 2], ai=[1 << 24] * 2, aj=[5, 5], an=[1.0, 2.0]))
 
 
 def test_decode_refuses_a_grid_too_large_to_allocate():
@@ -329,9 +357,8 @@ def test_decode_refuses_a_grid_too_large_to_allocate():
 def test_validate_grid_check_matches_grid_membership(code, row_bits, col_bits):
     nbr, nbc = 1 << row_bits, 1 << col_bits
     # l = 1 and a full-size matrix: the block is the nonzero, always inside
-    rec = _record(nbr, nbc, 1, bn=[code], bi=[0, 1], ai=[0], aj=[0], an=[1.0])
     try:
-        rec.validate()
+        _record(nbr, nbc, 1, bn=[code], bi=[0, 1], ai=[0], aj=[0], an=[1.0])
         accepted = True
     except BcooFormatError:
         accepted = False
@@ -339,7 +366,7 @@ def test_validate_grid_check_matches_grid_membership(code, row_bits, col_bits):
 
 
 def _reference_nonzero_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-    """The one-record validation body, verbatim; _nonzero_entries must reproduce it."""
+    """The one-record validation body, verbatim; _check_record and _nonzero_entries must reproduce it."""
     l = int(self.l)
     nbr = _block_extent(self.rows, l)
     nbc = _block_extent(self.cols, l)
@@ -387,33 +414,43 @@ def _reference_nonzero_blocks(self) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reference_entries(records):
-    """(record, row, col) of every nonzero by the reference body, record by record; else its message."""
+    """(record, row, col) of every nonzero by the reference body, record by record; else the first message."""
     found = []
     for r, u in enumerate(records):
         try:
             brow, bcol = _reference_nonzero_blocks(u)
         except BcooFormatError as exc:
-            return f"weight matrix at position {r}: {exc}"
+            return str(exc)
         found.append((np.full(len(brow), r), brow * u.l + u.ai, bcol * u.l + u.aj))
     return tuple(np.concatenate(parts).tolist() for parts in zip(*found))
 
 
-def _batched_entries(records):
+def _checked_entries(records):
+    """_nonzero_entries of the records, each built through the checking constructor; else the first message."""
     try:
-        return tuple(part.tolist() for part in _nonzero_entries(records, positions=True))
+        checked = [BcooMatrix(u.rows, u.cols, u.l, u.bn, u.bi, u.ai, u.aj, u.an) for u in records]
     except BcooFormatError as exc:
         return str(exc)
+    return tuple(part.tolist() for part in _nonzero_entries(checked))
+
+
+def _reference_dense(u) -> np.ndarray:
+    """The logical matrix of a well-formed record, through the reference body."""
+    brow, bcol = _reference_nonzero_blocks(u)
+    dense = np.zeros((u.rows, u.cols))
+    dense[brow * u.l + u.ai, bcol * u.l + u.aj] = u.an
+    return dense
 
 
 def _unchecked_record(buf):
-    """The record bcoo_from_bytes would validate, or None if its header or length fails first."""
+    """The vectors bcoo_from_bytes would check, or None if its header or length fails first."""
     rows, cols, l, n_blocks, nnz = struct.unpack_from("<5q", buf)
     if min(rows, cols, l) < 1 or n_blocks < 0 or nnz < 0 or len(buf) < 40 + 8 * (2 * n_blocks + 1 + 3 * nnz):
         return None
     words = np.frombuffer(buf, "<i8", offset=40, count=2 * n_blocks + 1 + 2 * nnz)
     bn, bi, ai, aj = np.split(words.copy(), np.cumsum([n_blocks, n_blocks + 1, nnz]))
     an = np.frombuffer(buf, "<f8", offset=40 + 8 * len(words), count=nnz).copy()
-    return BcooMatrix(rows, cols, l, bn, bi, ai, aj, an)
+    return SimpleNamespace(rows=rows, cols=cols, l=l, bn=bn, bi=bi, ai=ai, aj=aj, an=an)
 
 
 @settings(max_examples=300, deadline=None)
@@ -422,7 +459,7 @@ def test_nonzero_entries_matches_reference_on_one_record(buf):
     rec = _unchecked_record(buf)
     if rec is None:
         return
-    assert _batched_entries([rec]) == _reference_entries([rec])
+    assert _checked_entries([rec]) == _reference_entries([rec])
 
 
 @st.composite
@@ -448,14 +485,14 @@ def _record_lists(draw):
                 vec[i] = draw(st.sampled_from([-1, 0, 1, 2, l - 1, l, 1 << 40, int(vec[i - 1])]))
         else:
             fields[name] = vec[:-1] if len(vec) and draw(st.booleans()) else np.append(vec, vec[-1:] if len(vec) else [1])
-        records[p] = BcooMatrix(u.rows, u.cols, u.l, **fields)
+        records[p] = SimpleNamespace(rows=u.rows, cols=u.cols, l=u.l, **fields)
     return records
 
 
 @settings(max_examples=300, deadline=None)
 @given(_record_lists())
 def test_nonzero_entries_matches_reference_on_record_lists(records):
-    assert _batched_entries(records) == _reference_entries(records)
+    assert _checked_entries(records) == _reference_entries(records)
 
 
 @settings(max_examples=200, deadline=None)
@@ -484,7 +521,11 @@ def test_decode_dense_equals_zmorton_decode(source):
     stack = _decode_stack(records)
     assert stack.shape == (len(records), records[0].rows, records[0].cols)
     for dense, mat in zip(stack, records):
-        assert dense.tobytes() == from_zmorton(bcoo_decode(mat)).tobytes()
+        want = _reference_dense(mat)
+        assert dense.tobytes() == want.tobytes()
+        zm = bcoo_decode(mat)
+        assert from_zmorton(zm).tobytes() == want.tobytes()
+        assert np.count_nonzero(zm.blocks) == mat.nnz  # nothing in the padding
 
 
 @pytest.mark.parametrize("field, value", [
@@ -501,25 +542,23 @@ def test_decode_dense_equals_zmorton_decode(source):
 def test_validate_rejects_vectors_of_the_wrong_kind(field, value):
     fields = {"bn": np.array([0]), "bi": np.array([0, 1]), "ai": np.array([0]), "aj": np.array([0]),
               "an": np.array([1.0])}
-    BcooMatrix(4, 4, 4, **fields).validate()
+    BcooMatrix(4, 4, 4, **fields)
     fields[field] = value
-    bad = BcooMatrix(4, 4, 4, **fields)
-    name = field.upper()
-    for check in (bad.validate, lambda: bcoo_decode(bad), lambda: _decode_stack([bad, bad])):
-        with pytest.raises(BcooFormatError, match=f"{name} must be a 1-D"):
-            check()
+    with pytest.raises(BcooFormatError, match=f"{field.upper()} must be a 1-D"):
+        BcooMatrix(4, 4, 4, **fields)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint32])
 def test_validate_reads_integer_vectors_of_any_width(dtype):
     m = _random_sparse(np.random.default_rng(5), 9, 7, 0.5)
     u = bcoo_encode(to_zmorton(m, 4))
-    narrow = BcooMatrix(u.rows, u.cols, u.l, *(v.astype(dtype) for v in (u.bn, u.bi, u.ai, u.aj)), u.an)
+    vectors = [v.astype(dtype) for v in (u.bn, u.bi, u.ai, u.aj)]
+    narrow = BcooMatrix(u.rows, u.cols, u.l, *vectors, u.an)
+    assert all(getattr(narrow, name).dtype == np.int64 for name in ("bn", "bi", "ai", "aj"))
     assert np.array_equal(from_zmorton(bcoo_decode(narrow)), m)
     assert _decode_stack([narrow, u]).tobytes() == np.stack([m, m]).tobytes()
     # a narrow entry that is negative reads as negative, not as a wrapped large index
     if np.dtype(dtype).kind == "i":
-        ai = narrow.ai.copy()
-        ai[0] = -1
+        vectors[2][0] = -1
         with pytest.raises(BcooFormatError, match="AI entry outside"):
-            BcooMatrix(u.rows, u.cols, u.l, narrow.bn, narrow.bi, ai, narrow.aj, narrow.an).validate()
+            BcooMatrix(u.rows, u.cols, u.l, *vectors, u.an)

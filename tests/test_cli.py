@@ -25,8 +25,11 @@ def test_verify_extra_shape_single_tile(capsys):
 
 
 def test_verify_detects_injected_corruption(capsys):
-    assert run_cli(["verify", "--inject-corruption"]) != 0
-    assert "[FAIL]" in capsys.readouterr().out
+    # the corrupted weight must reach the convolution and fail its check, not stop the command
+    assert run_cli(["verify", "--inject-corruption"]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] winograd == direct" in captured.out
+    assert "error:" not in captured.err
 
 
 def test_convolve_writes_tensor_and_counters(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import dataclasses
+import re
 import struct
+import tracemalloc
 from itertools import groupby, product
 
 import numpy as np
@@ -6,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from winosim.bcoo import BcooFormatError, BcooMatrix, bcoo_decode, bcoo_encode
+from winosim import bcoo
+from winosim.bcoo import BcooFormatError, BcooMatrix, bcoo_decode, bcoo_encode, bcoo_from_bytes, bcoo_to_bytes
 from winosim.engine import (
     LayerSpec,
     _operand_keys,
@@ -317,32 +321,40 @@ def test_sparse_executes_only_present_blocks():
 
 
 def _malformed_records():
-    """BCOO records of an 8x8 matrix that BcooMatrix.validate rejects."""
+    """A valid BCOO record of a dense 8x8 matrix, and per case the vectors that
+    would make it malformed, with the message BcooMatrix refuses them with."""
     u = bcoo_encode(to_zmorton(np.random.default_rng(23).uniform(-1, 1, (8, 8)), 4))
     duplicate_ai, duplicate_aj = u.ai.copy(), u.aj.copy()
     duplicate_ai[1], duplicate_aj[1] = duplicate_ai[0], duplicate_aj[0]
-    return {
-        "repeated BN": BcooMatrix(8, 8, 4, np.array([0, 0, 1, 2]), u.bi, u.ai, u.aj, u.an),
-        "BN outside the grid": BcooMatrix(8, 8, 4, np.array([0, 1, 2, 5]), u.bi, u.ai, u.aj, u.an),
-        "duplicate (AI, AJ)": BcooMatrix(8, 8, 4, u.bn, u.bi, duplicate_ai, duplicate_aj, u.an),
+    return u, {
+        "repeated BN": ({"bn": np.array([0, 0, 1, 2])}, "BN must be strictly ascending"),
+        "BN outside the grid": ({"bn": np.array([0, 1, 2, 5])}, "BN contains a block number outside the grid"),
+        "duplicate (AI, AJ)": ({"ai": duplicate_ai, "aj": duplicate_aj},
+                               "duplicate or out-of-order (AI, AJ) pair within a block"),
     }
 
 
-@pytest.mark.parametrize("case", sorted(_malformed_records()))
+@pytest.mark.parametrize("case", sorted(_malformed_records()[1]))
 def test_sparse_matmul_rejects_malformed_operand(case):
-    bad = _malformed_records()[case]
-    with pytest.raises(BcooFormatError):
-        bad.validate()
+    # block_matmul_sparse checks nothing: a malformed operand can be neither built nor made
+    u, cases = _malformed_records()
+    changes, message = cases[case]
+    with pytest.raises(BcooFormatError, match=re.escape(message)):
+        dataclasses.replace(u, **changes)
+    for name, vec in changes.items():
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(u, name)[:] = vec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(u, name, vec)
     V = to_zmorton(np.random.default_rng(24).uniform(-1, 1, (8, 8)), 4)
-    with pytest.raises(BcooFormatError):
-        block_matmul_sparse(bad, V)
+    want = from_zmorton(bcoo_decode(u)) @ from_zmorton(V)
+    assert _rel_err(from_zmorton(block_matmul_sparse(u, V)), want) <= 1e-12
 
 
 def test_sparse_matmul_checks_block_sides_before_building_blocks():
     # a valid record with l = 2**30 holds one nonzero; its block stack would not fit
     U = BcooMatrix(1, 1, 1 << 30, np.array([0]), np.array([0, 1]), np.array([0]), np.array([0]),
                    np.array([1.0]))
-    U.validate()
     with pytest.raises(ValueError, match="block sides differ"):
         block_matmul_sparse(U, to_zmorton(np.ones((1, 1)), 4))
 
@@ -458,31 +470,38 @@ def test_sparse_conv_rejects_weights_built_for_another_plan():
         winograd_conv_sparse(fm, enc2[:7] + wide[7:8] + enc2[8:], make_plan(2, 3), pad=1)
 
 
-def test_sparse_conv_validates_each_record(plan):
-    fm = np.ones((4, 6, 6))
-    _, enc, _ = compress_filters(np.ones((4, 4, 3, 3)), plan, 0.0)
-    u = enc[5]
-    duplicate = BcooMatrix(rows=u.rows, cols=u.cols, l=u.l, bn=u.bn, bi=u.bi,
-                           ai=u.ai.copy(), aj=u.aj.copy(), an=u.an)
-    duplicate.ai[1], duplicate.aj[1] = duplicate.ai[0], duplicate.aj[0]
-    with pytest.raises(BcooFormatError, match="duplicate"):
-        winograd_conv_sparse(fm, enc[:5] + [duplicate] + enc[6:], plan, pad=1)
+def test_sparse_conv_validates_each_record(plan, monkeypatch):
+    # compress, serialize, parse, convolve: each of the l*l records is checked once, when parsed
+    calls = []
+    check = bcoo._check_record
+    monkeypatch.setattr(bcoo, "_check_record", lambda u: calls.append(u) or check(u))
+    rng = np.random.default_rng(29)
+    fm, flt = rng.uniform(-1, 1, (4, 6, 6)), rng.uniform(-1, 1, (8, 4, 3, 3))
+    _, enc, _ = compress_filters(flt, plan, 0.5)
+    assert calls == []
+    parsed = [bcoo_from_bytes(bcoo_to_bytes(u))[0] for u in enc]
+    got = winograd_conv_sparse(fm, parsed, plan, pad=1)
+    assert len(calls) == len(parsed) and all(u is p for u, p in zip(calls, parsed))
+    assert len(calls) == plan.l * plan.l
+    assert got.tobytes() == winograd_conv_sparse(fm, enc, plan, pad=1).tobytes()
 
 
-@pytest.mark.parametrize("position", [0, 7, 15])
-@pytest.mark.parametrize("case, message", [
-    ("repeated BN", "BN must be strictly ascending"),
-    ("BN outside the grid", "BN contains a block number outside the grid"),
-    ("duplicate (AI, AJ)", "duplicate or out-of-order (AI, AJ) pair within a block"),
-])
-def test_sparse_conv_names_the_malformed_position(plan, position, case, message):
-    rng = np.random.default_rng(26)
-    fm = rng.uniform(-1, 1, (8, 6, 6))
-    _, enc, _ = compress_filters(rng.uniform(-1, 1, (8, 8, 3, 3)), plan, 0.5)
-    records = enc[:position] + [_malformed_records()[case]] + enc[position + 1:]
-    with pytest.raises(BcooFormatError) as err:
-        winograd_conv_sparse(fm, records, plan, pad=1)
-    assert str(err.value) == f"weight matrix at position {position}: {message}"
+def test_sparse_conv_refuses_an_oversized_weight_stack(plan):
+    # l*l well-formed, empty records whose dense (l*l, K, C) stack would take terabytes
+    huge = [BcooMatrix(1 << 18, 1 << 18, 4, *(np.zeros(n, dtype=np.int64) for n in (0, 1, 0, 0)),
+                       np.zeros(0))] * 16
+    wide = [BcooMatrix(1 << 18, 1 << 10, 4, *(np.zeros(n, dtype=np.int64) for n in (0, 1, 0, 0)),
+                       np.zeros(0))] * 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="weights expect 262144 channels, input has 3"):
+            winograd_conv_sparse(np.ones((3, 8, 8)), huge, plan, pad=1)
+        with pytest.raises(ValueError, match=r"16 262144x1024 weight matrices .* over the limit of 2\*\*28"):
+            winograd_conv_sparse(np.ones((1 << 10, 1, 1)), wide, plan, pad=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_block_reference_checks_records_like_the_sparse_path(plan):
@@ -556,7 +575,6 @@ def test_sparse_conv_rejects_non_finite_products(plan, value):
     an = u.an.copy()
     an[0] = value
     records = enc[:5] + [BcooMatrix(u.rows, u.cols, u.l, u.bn, u.bi, u.ai, u.aj, an)] + enc[6:]
-    records[5].validate()
     with pytest.raises(ValueError, match="non-finite"):
         winograd_conv_sparse(fm, records, plan, pad=1)
 

@@ -1,6 +1,7 @@
 """Smoke tests: the experiment scripts under scripts/ and the benchmark
 self-test run to completion, every module's public names resolve, the
-package holds no `assert` statement, a dense pass loads no
+package holds no `assert` statement, only building a BCOO record checks
+one, a dense pass loads no
 `numpy.random`, and a failing Hypothesis test fails only itself."""
 
 import ast
@@ -65,6 +66,29 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_record_construction_checks_a_record():
+    # A BcooMatrix is checked once, when built; a later stage that checks it again is waste.
+    def uses(node, path):
+        return [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(node)
+            if getattr(n, "id", None) == "_check_record" or getattr(n, "attr", None) == "_check_record"
+        ]
+
+    found, allowed = [], []
+    for path in sorted((ROOT / "src" / "winosim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += uses(tree, path)
+        allowed += [
+            use
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "BcooMatrix"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+            for use in uses(fn, path)
+        ]
+    assert len(allowed) == 1
+    assert found == allowed
 
 
 _RANDOM_PROBE = """

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 from collections import deque
 
 import hypothesis.strategies as st
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from test_engine import _malformed_records
-from winosim.bcoo import BcooFormatError, BcooMatrix, bcoo_encode
+from winosim.bcoo import BcooFormatError, BcooMatrix, bcoo_encode, bcoo_from_bytes, bcoo_to_bytes
 from winosim.engine import LayerSpec, _operand_keys, matmul_streams
 from winosim.layout import _grid_codes, to_zmorton
 from winosim.plans import make_plan
@@ -314,21 +315,29 @@ def test_cluster_rejects_nonconforming_operands(cfg, sparse, U, V, message):
             simulate_cluster_dense(U, V, cfg)
 
 
-@pytest.mark.parametrize("case", sorted(_malformed_records()))
+@pytest.mark.parametrize("case", sorted(_malformed_records()[1]))
 def test_cluster_sparse_rejects_malformed_operand(cfg, case):
+    # simulate_cluster_sparse checks nothing: a malformed record read from bytes never becomes an operand
+    u, cases = _malformed_records()
+    changes, message = cases[case]
+    vectors = [changes.get(name, getattr(u, name)) for name in ("bn", "bi", "ai", "aj")]
+    blob = struct.pack(f"<5q{sum(map(len, vectors))}q{u.nnz}d", u.rows, u.cols, u.l, len(vectors[0]), u.nnz,
+                       *np.concatenate(vectors).tolist(), *u.an.tolist())
+    with pytest.raises(BcooFormatError) as err:
+        bcoo_from_bytes(blob)
+    assert str(err.value) == message
     V = to_zmorton(np.random.default_rng(24).uniform(-1, 1, (8, 8)), 4)
-    with pytest.raises(BcooFormatError):
-        simulate_cluster_sparse(_malformed_records()[case], V, cfg)
+    assert simulate_cluster_sparse(bcoo_from_bytes(bcoo_to_bytes(u))[0], V, cfg) == simulate_cluster_sparse(u, V, cfg)
 
 
 @pytest.mark.parametrize("field", ["bn", "bi", "ai", "aj"])
-def test_cluster_sparse_rejects_non_integer_indices(cfg, field):
-    # a fractional index must not be priced: it names no block or entry
+def test_cluster_sparse_rejects_non_integer_indices(field):
+    # a fractional index names no block or entry, so no record holding one reaches the simulator
     vectors = {"bn": np.array([0]), "bi": np.array([0, 1]), "ai": np.array([0]), "aj": np.array([0])}
+    BcooMatrix(4, 4, 4, **vectors, an=np.array([1.0]))
     vectors[field] = vectors[field] + 0.5
-    U = BcooMatrix(4, 4, 4, **vectors, an=np.array([1.0]))
     with pytest.raises(BcooFormatError, match=f"{field.upper()} must be a 1-D integer array"):
-        simulate_cluster_sparse(U, to_zmorton(np.ones((4, 4)), 4), cfg)
+        BcooMatrix(4, 4, 4, **vectors, an=np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
