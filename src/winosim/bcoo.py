@@ -24,11 +24,13 @@ from .layout import (
     _GRID_LIMIT,
     TransformedBatch,
     ZMortonMatrix,
+    _block_coords,
     _block_extent,
     _morton_decode_array,
     from_zmorton,
     morton_encode,
     to_zmorton,
+    zmorton_zeros,
 )
 
 __all__ = [
@@ -165,10 +167,18 @@ def _nonzero_entries(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
-    """Compress a Z-Morton matrix; blocks appear in ascending Morton order."""
+    """Compress a Z-Morton matrix; blocks appear in ascending Morton order.
+
+    ValueError unless zm's blocks fill its grid; BcooFormatError if a
+    nonzero lies in the padding outside its rows-by-cols matrix.
+    """
+    brow, bcol = _block_coords(zm)
     # block-major, row-major within a block; nonzero of a bool mask is the fast kind
     flat = np.flatnonzero(zm.blocks != 0.0)
     owner, ai, aj = np.unravel_index(flat, zm.blocks.shape)
+    padded = (zm.rows, zm.cols) != (zm.padded_rows, zm.padded_cols)  # else no entry lies outside
+    if padded and ((brow[owner] * zm.l + ai >= zm.rows) | (bcol[owner] * zm.l + aj >= zm.cols)).any():
+        raise BcooFormatError("nonzero outside the logical matrix")
     codes = zm.block_codes
     counts = np.bincount(owner, minlength=len(codes))
     stored = counts > 0
@@ -185,8 +195,10 @@ def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
 
 
 def bcoo_decode(b: BcooMatrix) -> ZMortonMatrix:
-    """Exact inverse of bcoo_encode.  ValueError if its padded grid exceeds _GRID_LIMIT entries."""
-    return to_zmorton(_decode_stack([b])[0], b.l)
+    """Exact inverse of bcoo_encode.  ValueError, before allocating, if its padded grid exceeds _GRID_LIMIT entries."""
+    zm = zmorton_zeros(b.rows, b.cols, b.l)
+    zm.blocks[zm.ranks_of(b.bn).repeat(np.diff(b.bi)), b.ai, b.aj] = b.an
+    return zm
 
 
 def _decode_stack(records) -> np.ndarray:

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bcoo import BcooMatrix, _decode_stack, _nonzero_entries, _prune_dense, bcoo_decode, bcoo_encode
+from .bcoo import BcooMatrix, _decode_stack, _nonzero_entries, _prune_dense, bcoo_encode
 from .layout import (
     TransformedBatch,
     ZMortonMatrix,
@@ -312,10 +312,10 @@ def block_matmul_sparse(
     Equal to recursive_matmul on the decoded U, since skipped products are
     exactly zero.  Counters charge stored nonzeros only.
     """
-    _block_grid(U, V)  # before the decode allocates U's l-by-l blocks
+    _block_grid(U, V)  # before U's stored l-by-l blocks are allocated
+    stack = np.zeros((len(U.bn), U.l, U.l))
+    stack[np.arange(len(U.bn)).repeat(np.diff(U.bi)), U.ai, U.aj] = U.an
     _, rows, _ = _nonzero_entries([U])
-    zm = bcoo_decode(U)
-    stack = zm.blocks[zm.ranks_of(U.bn)]
     return _block_matmul(U, U.bn, stack, V, U.nnz, len(np.unique(rows)), counters, trace)
 
 

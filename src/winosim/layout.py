@@ -219,13 +219,21 @@ def to_zmorton(dense, l: int) -> ZMortonMatrix:
     return ZMortonMatrix(rows=rows, cols=cols, l=l, blocks=blocks)
 
 
-def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
-    """Recover the logical row-major matrix (padding dropped) in a fresh array."""
+def _block_coords(zm: ZMortonMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(block rows, block columns) of zm's blocks; ValueError unless the blocks fill its grid."""
     l = zm.l
     nbr, nbc = zm.block_rows, zm.block_cols
     brow, bcol = _grid_coords(nbr, nbc)
     if zm.blocks.shape != (len(brow), l, l):
         raise ValueError(f"{zm.blocks.shape} block stack does not fill a {nbr}x{nbc} grid of {l}x{l} blocks")
+    return brow, bcol
+
+
+def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
+    """Recover the logical row-major matrix (padding dropped) in a fresh array."""
+    l = zm.l
+    nbr, nbc = zm.block_rows, zm.block_cols
+    brow, bcol = _block_coords(zm)
     grid = np.empty((nbr, l, nbc, l))  # every block is written below
     grid[brow, :, bcol, :] = zm.blocks
     return grid.reshape(nbr * l, nbc * l)[: zm.rows, : zm.cols]

@@ -24,6 +24,7 @@ from winosim.layout import (
     _AXIS_BITS,
     _AXIS_LIMIT,
     TransformedBatch,
+    ZMortonMatrix,
     _block_extent,
     _grid_codes,
     _morton_decode_array,
@@ -59,6 +60,21 @@ def test_encode_block5_example():
     assert enc.ai.tolist() == [0, 1, 3]
     assert enc.aj.tolist() == [0, 2, 1]
     assert enc.an.tolist() == [1.5, -2.5, 3.5]
+
+
+@pytest.mark.parametrize("row, col", [(0, 3), (3, 0), (3, 3)])
+def test_encode_refuses_a_nonzero_in_the_padding(row, col):
+    # a 3x3 matrix in one 4x4 block: row 3 and column 3 are padding
+    zm = to_zmorton(np.ones((3, 3)), 4)
+    zm.blocks[0, row, col] = 1.0
+    with pytest.raises(BcooFormatError, match="nonzero outside the logical matrix"):
+        bcoo_encode(zm)
+
+
+def test_encode_refuses_blocks_that_do_not_fill_the_grid():
+    zm = ZMortonMatrix(rows=8, cols=8, l=4, blocks=np.ones((3, 4, 4)))
+    with pytest.raises(ValueError, match=r"\(3, 4, 4\) block stack does not fill a 2x2 grid"):
+        bcoo_encode(zm)
 
 
 def test_encode_dense_8x8():
@@ -346,6 +362,19 @@ def test_decode_refuses_a_grid_too_large_to_allocate():
     mat, _ = bcoo_from_bytes(bcoo_to_bytes(_record(1, 1, 1 << 56)))
     with pytest.raises(ValueError, match=r"1x1 grid of \d+x\d+ blocks"):
         bcoo_decode(mat)
+
+
+def test_decode_refuses_an_oversized_grid_before_allocating():
+    # 2**28 logical entries, but l = 3 pads them to an 8192x8192 grid of 3x3 blocks
+    mat, _ = bcoo_from_bytes(bcoo_to_bytes(_record(1 << 14, 1 << 14, 3)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"8192x8192 grid of 3x3 blocks"):
+            bcoo_decode(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=200, deadline=None)

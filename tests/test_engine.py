@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from winosim import bcoo
+from winosim import bcoo, layout
 from winosim.bcoo import BcooFormatError, BcooMatrix, bcoo_decode, bcoo_encode, bcoo_from_bytes, bcoo_to_bytes
 from winosim.engine import (
     LayerSpec,
@@ -318,6 +318,18 @@ def test_sparse_executes_only_present_blocks():
     ]
     assert trace == want
     assert len(trace) == 8  # each left block feeds 4 output blocks
+
+
+def test_sparse_matmul_builds_only_the_stored_blocks(monkeypatch):
+    # U's padded 64x64 grid is over the lowered grid limit; V and the product are not
+    A = np.zeros((64, 64))
+    A[5, 60] = 2.0
+    B = np.random.default_rng(8).uniform(-1, 1, (64, 4))
+    U, V = bcoo_encode(to_zmorton(A, 4)), to_zmorton(B, 4)
+    monkeypatch.setattr(layout, "_GRID_LIMIT", 1 << 10)
+    with pytest.raises(ValueError, match="over the limit"):
+        bcoo_decode(U)
+    assert np.array_equal(from_zmorton(block_matmul_sparse(U, V)), A @ B)
 
 
 def _malformed_records():
