@@ -4,8 +4,9 @@
 Writes the combined analytical + simulated CSV and prints which m
 minimises total modelled energy under both transform-add variants.
 Use --scale for a quick look: each sparse point simulates all l^2
-positions, so the full-size sweep takes a few minutes where a full-size
-dense `winosim simulate` takes about 10 s (2-vCPU VM).
+positions, so the full-size sweep (--scale 1, the five default
+sparsities) takes 12-14 s where a full-size dense `winosim simulate`
+takes 0.9-1.2 s (wall time on a 2-vCPU VM).
 """
 
 import argparse

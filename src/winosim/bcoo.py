@@ -108,12 +108,19 @@ def _last_block_code(block_rows: int, block_cols: int) -> int:
     return morton_encode(block_rows - 1, block_cols - 1)
 
 
+def _check_header(rows: int, cols: int, l: int, n_blocks: int = 0, nnz: int = 0) -> None:
+    """Raise BcooFormatError unless rows, cols, l >= 1 and n_blocks, nnz >= 0: every record's header rule."""
+    if min(rows, cols, l) < 1 or min(n_blocks, nnz) < 0:
+        raise BcooFormatError("malformed BCOO header")
+
+
 def _check_record(u: BcooMatrix) -> None:
     """Raise BcooFormatError, naming the first check failed, unless u is well-formed.
 
     Reads u's own int64 (BN, BI, AI, AJ) and float64 (AN) vectors.
     """
     rows, cols, l = int(u.rows), int(u.cols), int(u.l)
+    _check_header(rows, cols, l)
     bn, bi, ai, aj, an = u.bn, u.bi, u.ai, u.aj, u.an
     nbr = _block_extent(rows, l)
     nbc = _block_extent(cols, l)
@@ -169,9 +176,11 @@ def _nonzero_entries(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
     """Compress a Z-Morton matrix; blocks appear in ascending Morton order.
 
-    ValueError unless zm's blocks fill its grid; BcooFormatError if a
-    nonzero lies in the padding outside its rows-by-cols matrix.
+    ValueError unless zm's blocks fill its grid; BcooFormatError if its
+    shape breaks the header rule or a nonzero lies in the padding outside
+    its rows-by-cols matrix.
     """
+    _check_header(zm.rows, zm.cols, zm.l)
     brow, bcol = _block_coords(zm)
     # block-major, row-major within a block; nonzero of a bool mask is the fast kind
     flat = np.flatnonzero(zm.blocks != 0.0)
@@ -277,23 +286,14 @@ def bcoo_from_bytes(buf: bytes, offset: int = 0) -> tuple[BcooMatrix, int]:
     if len(buf) - offset < _HEADER.size:
         raise BcooFormatError("truncated BCOO header")
     rows, cols, l, n_blocks, nnz = _HEADER.unpack_from(buf, offset)
-    if min(rows, cols, l) < 1 or n_blocks < 0 or nnz < 0:
-        raise BcooFormatError("malformed BCOO header")
+    _check_header(rows, cols, l, n_blocks, nnz)
     pos = offset + _HEADER.size
-
-    def take(count, dtype):
-        nonlocal pos
-        nbytes = count * 8
-        if len(buf) - pos < nbytes:
-            raise BcooFormatError("truncated BCOO payload")
-        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)  # BcooMatrix copies it
-        pos += nbytes
-        return arr
-
-    bn = take(n_blocks, "<i8")
-    bi = take(n_blocks + 1, "<i8")
-    ai = take(nnz, "<i8")
-    aj = take(nnz, "<i8")
-    an = take(nnz, "<f8")
-    return BcooMatrix(rows=rows, cols=cols, l=l, bn=bn, bi=bi, ai=ai, aj=aj, an=an), pos
+    n_ints = 2 * n_blocks + 1 + 2 * nnz  # BN, BI, AI, AJ
+    end = pos + 8 * (n_ints + nnz)
+    if len(buf) < end:
+        raise BcooFormatError("truncated BCOO payload")
+    ints = np.frombuffer(buf, dtype="<i8", count=n_ints, offset=pos)  # BcooMatrix copies it
+    bn, bi, ai, aj = np.split(ints, np.cumsum([n_blocks, n_blocks + 1, nnz]))
+    an = np.frombuffer(buf, dtype="<f8", count=nnz, offset=pos + 8 * n_ints)
+    return BcooMatrix(rows=rows, cols=cols, l=l, bn=bn, bi=bi, ai=ai, aj=aj, an=an), end
 

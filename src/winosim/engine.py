@@ -44,7 +44,6 @@ import numpy as np
 
 from .bcoo import BcooMatrix, _decode_stack, _nonzero_entries, _prune_dense, bcoo_encode
 from .layout import (
-    TransformedBatch,
     ZMortonMatrix,
     _block_extent,
     _filter_stack,
@@ -355,12 +354,6 @@ def direct_conv(
     return out
 
 
-def transform_input_batch(fm, plan: WinogradPlan, pad: int) -> TransformedBatch:
-    """The l*l transformed C-by-P input matrices, as Z-Morton block operands."""
-    tiles = extract_tiles(fm, plan, pad)
-    return scatter_to_matrices(transform_tiles(plan, tiles))
-
-
 def _input_of(fm, channels: int) -> np.ndarray:
     """The (C, H, W) feature map as float; ValueError unless C == channels."""
     fm = np.asarray(fm, dtype=float)
@@ -379,14 +372,12 @@ def _winograd_conv(fm, U, plan, pad, counters, nnz, rows_hit):
     fm = _input_of(fm, U.shape[2])
     _, H, W = fm.shape
     out_h, out_w = _output_extent(H, W, plan.r, pad)
-    tiles = extract_tiles(fm, plan, pad)
-    _, th, tw, l, _ = tiles.shape
-    V = _input_stack(transform_tiles(plan, tiles))
-    K, P = U.shape[1], th * tw
+    V = _input_stack(transform_tiles(plan, extract_tiles(fm, plan, pad)))
+    K, P = U.shape[1], V.shape[2]
     _charge(counters, nnz, rows_hit, P)
     # A non-finite product is refused by the inverse transform, with a message.
     with np.errstate(over="ignore", invalid="ignore"):
-        mats = np.matmul(U, V).reshape(l, l, K, P)
+        mats = np.matmul(U, V).reshape(plan.l, plan.l, K, P)
     return assemble_output(mats, plan, K, out_h, out_w, counters=counters)
 
 
@@ -446,7 +437,7 @@ def winograd_conv_blocks(fm: np.ndarray, u_sparse, plan: WinogradPlan, pad: int 
     """
     K, _ = _check_records(u_sparse, plan.l)
     fm = np.asarray(fm, dtype=float)
-    vb = transform_input_batch(fm, plan, pad)
+    vb = scatter_to_matrices(transform_tiles(plan, extract_tiles(fm, plan, pad)))
     mats = np.stack([from_zmorton(block_matmul_sparse(u, v)) for u, v in zip(u_sparse, vb)])
     out_h, out_w = _output_extent(fm.shape[1], fm.shape[2], plan.r, pad)
     return assemble_output(mats.reshape(plan.l, plan.l, K, -1), plan, K, out_h, out_w)
@@ -455,17 +446,15 @@ def winograd_conv_blocks(fm: np.ndarray, u_sparse, plan: WinogradPlan, pad: int 
 def compress_filters(filters, plan: WinogradPlan, target_sparsity: float):
     """Transform, magnitude-prune, and BCOO-encode a filter bank.
 
-    Returns (pruned TransformedBatch, list of BcooMatrix, achieved sparsity).
+    Returns (the pruned (l*l, K, C) stack, its l*l BcooMatrix records,
+    achieved sparsity).
     """
     U = _filter_stack(filters, plan)
     for dense in U:
         _prune_dense(dense, target_sparsity)
-    pruned = TransformedBatch(l=plan.l, mats=[to_zmorton(dense, plan.l) for dense in U])
-    encoded = [bcoo_encode(mat) for mat in pruned]
-    total = sum(mat.rows * mat.cols for mat in pruned)
+    encoded = [bcoo_encode(to_zmorton(dense, plan.l)) for dense in U]
     nnz = sum(enc.nnz for enc in encoded)
-    achieved = 1.0 - nnz / total if total else 1.0
-    return pruned, encoded, achieved
+    return U, encoded, 1.0 - nnz / U.size
 
 
 # ---------------------------------------------------------------------------

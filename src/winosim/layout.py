@@ -9,9 +9,10 @@ column (column bits in even positions, row bits in odd positions).
 Each axis is zero-padded so that the number of blocks along it is a power
 of two; padding never leaks into logical reads.
 
-Winograd tile stacks keep shape (..., l, l) but position-major memory: the
-l-by-l transform positions are the outermost axes from tile extraction to
-the inverse transform, so each per-position matrix is contiguous.
+Winograd tile stacks are position-major: from tile extraction to the
+inverse transform they have shape (l, l, C, tiles_h, tiles_w), the l-by-l
+transform positions outermost, so each per-position matrix is one
+contiguous slice.
 """
 
 from __future__ import annotations
@@ -82,15 +83,8 @@ _SPREAD_BYTE = _placed([(0, bit) for bit in range(7, -1, -1)], lambda _, bit: 1 
 @lru_cache(maxsize=1)
 def _compact_table() -> np.ndarray:
     """Every 16-bit code, decoded: its column bits in bits 0-7, its row bits in bits 16-23; read-only."""
-    v = np.arange(256)
-    byte = np.zeros(256, dtype=np.int64)  # the same for the 8-bit codes
-    for bit in range(4):
-        byte |= ((v >> (2 * bit)) & 1) << bit
-        byte |= ((v >> (2 * bit + 1)) & 1) << (16 + bit)
-    # code = high byte * 256 + low byte, and the high byte holds coordinate bits 4-7
-    table = np.bitwise_or.outer(byte << 4, byte).ravel()
-    table.setflags(write=False)
-    return table
+    # code bit b holds row bit b // 2 when b is odd, else column bit b // 2
+    return _placed([(0, b) for b in range(15, -1, -1)], lambda _, b: 1 << (16 + b // 2) if b & 1 else 1 << (b // 2))
 
 
 def morton_encode(block_row: int, block_col: int) -> int:
@@ -262,17 +256,12 @@ def _tile_counts(out_h: int, out_w: int, m: int) -> tuple[int, int]:
     return tuple(-(-n // m) for n in (out_h, out_w))
 
 
-def _position_major(tiles: np.ndarray) -> np.ndarray:
-    """Contiguous (l, l, ...) copy of a (..., l, l) tile stack; free if already position-major."""
-    return np.ascontiguousarray(np.moveaxis(tiles, (-2, -1), (0, 1)))
-
-
 def extract_tiles(fm: np.ndarray, plan: WinogradPlan, pad: int = 0) -> np.ndarray:
     """Overlapped l-by-l tiles at stride m over the zero-padded input.
 
-    Returns shape (C, tiles_h, tiles_w, l, l), a view over position-major
-    (l, l, C, tiles_h, tiles_w) memory.  Adjacent tiles overlap by r - 1;
-    reads past the padded input are zero.
+    Returns a contiguous (l, l, C, tiles_h, tiles_w) array: entry
+    (i, j, c, x, y) is element (i, j) of channel c's tile (x, y).  Adjacent
+    tiles overlap by r - 1; reads past the padded input are zero.
     """
     fm = np.asarray(fm, dtype=float)
     C, H, W = fm.shape
@@ -281,7 +270,7 @@ def extract_tiles(fm: np.ndarray, plan: WinogradPlan, pad: int = 0) -> np.ndarra
     padded = np.zeros((C, (th - 1) * m + l, (tw - 1) * m + l))
     padded[:, pad : pad + H, pad : pad + W] = fm
     win = np.lib.stride_tricks.sliding_window_view(padded, (l, l), axis=(1, 2))
-    return np.moveaxis(_position_major(win[:, ::m, ::m][:, :th, :tw]), (0, 1), (-2, -1))
+    return np.ascontiguousarray(win[:, ::m, ::m][:, :th, :tw].transpose(3, 4, 0, 1, 2))
 
 
 def _sandwich(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -327,14 +316,13 @@ def _sandwich(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def transform_tiles(plan: WinogradPlan, tiles: np.ndarray) -> np.ndarray:
-    """Apply Bt . d . Bt.T to every tile in a (..., l, l) stack.
+    """Apply Bt . d . Bt.T to every tile of an (l, l, C, tiles_h, tiles_w) stack.
 
-    Returns a (..., l, l) view over position-major memory.  The sums run in
-    the fixed order of _sandwich, so the result does not depend on the
-    memory order of `tiles`.
+    Returns a contiguous array of the same shape.  The sums run in the
+    fixed order of _sandwich, so the result does not depend on the memory
+    order of `tiles`.
     """
-    out = _sandwich(plan.Bt, _position_major(tiles))
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    return _sandwich(plan.Bt, tiles)
 
 
 @dataclass
@@ -356,18 +344,18 @@ class TransformedBatch:
 
 
 def _input_stack(transformed_tiles: np.ndarray) -> np.ndarray:
-    """Regroup transformed input tiles (C, th, tw, l, l) into an (l*l, C, P) stack.
+    """Regroup transformed input tiles (l, l, C, th, tw) into an (l*l, C, P) stack.
 
-    Tile coordinates collapse row-major: b = x * tw + y.  A view when the
-    tiles are position-major, as transform_tiles returns them.
+    Tile coordinates collapse row-major: b = x * tw + y.  A view of the
+    contiguous stack transform_tiles returns.
     """
-    C, th, tw, l, _ = transformed_tiles.shape
-    return transformed_tiles.transpose(3, 4, 0, 1, 2).reshape(l * l, C, th * tw)
+    l, _, C, th, tw = transformed_tiles.shape
+    return transformed_tiles.reshape(l * l, C, th * tw)
 
 
 def scatter_to_matrices(transformed_tiles: np.ndarray) -> TransformedBatch:
-    """Regroup transformed input tiles (C, th, tw, l, l) into l*l C-by-P matrices."""
-    l = transformed_tiles.shape[3]
+    """Regroup transformed input tiles (l, l, C, th, tw) into l*l C-by-P matrices."""
+    l = transformed_tiles.shape[0]
     return TransformedBatch(l=l, mats=[to_zmorton(v, l) for v in _input_stack(transformed_tiles)])
 
 
@@ -379,7 +367,9 @@ def _filter_stack(filters: np.ndarray, plan: WinogradPlan) -> np.ndarray:
         raise ValueError(f"filter width {r}x{r2} != plan r={plan.r}")
     if K < 1 or C < 1:
         raise ValueError(f"filter bank needs K, C >= 1, got K={K}, C={C}")
-    return _sandwich(plan.G, _position_major(filters)).reshape(plan.l * plan.l, K, C)
+    # copied: on a strided view _sandwich would read every (K, C) slice at a stride
+    position_major = np.ascontiguousarray(filters.transpose(2, 3, 0, 1))
+    return _sandwich(plan.G, position_major).reshape(plan.l * plan.l, K, C)
 
 
 def gather_filters(filters: np.ndarray, plan: WinogradPlan) -> TransformedBatch:

@@ -3,9 +3,11 @@
 The machine is built from l-by-l processing-element arrays.  A bank of
 `transform_arrays` arrays applies the input transform with the transform
 matrix held stationary: tiles make two passes, the first producing
-(D^T . B)^T which feeds back as the new input, so only adders are
-exercised (matrix entries of +-1/0 steer add / subtract / pass) and no
-multiplications are attributed to the transform stage.
+(D^T . B)^T which feeds back as the new input.  No multiplications are
+attributed to the transform stage: only adders are exercised, matrix
+entries of +-1/0 steering add / subtract / pass.  That holds for F(2, 3)
+alone; the m >= 3 plans' Bt and At hold other values too, whose
+multiplies this model does not price (ROADMAP.md, item 11).
 
 Matrix multiplies run on clusters of four arrays sharing circular FIFOs.
 The four arrays track the four top-level output quadrants of the unrolled

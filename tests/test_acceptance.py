@@ -167,10 +167,9 @@ def test_c07_sparse_dense_consistency():
         _, enc, _ = compress_filters(flt, PLAN, sparsity)
         got = winograd_conv_sparse(fm, enc, PLAN, pad=1)
 
-        from winosim.engine import transform_input_batch
-        from winosim.layout import assemble_output
+        from winosim.layout import assemble_output, extract_tiles, scatter_to_matrices, transform_tiles
 
-        vb = transform_input_batch(fm, PLAN, 1)
+        vb = scatter_to_matrices(transform_tiles(PLAN, extract_tiles(fm, PLAN, 1)))
         P = vb.at(0, 0).cols
         mats = np.empty((4, 4, K, P))
         for i in range(4):

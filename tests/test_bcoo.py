@@ -219,6 +219,13 @@ def test_deserialization_rejects_truncation():
     blob = bcoo_to_bytes(enc)
     with pytest.raises(BcooFormatError):
         bcoo_from_bytes(blob[:-4])
+    # every cut into any of the five vectors gets the one payload message
+    for cut in range(40, len(blob)):
+        with pytest.raises(BcooFormatError, match="truncated BCOO payload"):
+            bcoo_from_bytes(blob[:cut])
+    # trailing bytes belong to the next record
+    rec, end = bcoo_from_bytes(blob + b"\0" * 8)
+    assert end == len(blob) and bcoo_to_bytes(rec) == blob
 
 
 def _record(rows, cols, l, bn=(), bi=(0,), ai=(), aj=(), an=()):
@@ -233,6 +240,47 @@ def _blob(rows, cols, l, bn=(), bi=(0,), ai=(), aj=(), an=()):
     """The container bytes of a record, well-formed or not."""
     words = [rows, cols, l, len(bn), len(an), *bn, *bi, *ai, *aj]
     return struct.pack(f"<{len(words)}q{len(an)}d", *words, *an)
+
+
+@pytest.mark.parametrize("rows, cols, l", [(4, 4, 0), (0, 4, 4), (4, 0, 4), (4, 4, -1), (-3, 4, 2)])
+def test_every_construction_path_applies_the_header_rule(rows, cols, l):
+    zm = ZMortonMatrix(rows=rows, cols=cols, l=l, blocks=np.zeros((1, 1, 1)))
+    for build in (lambda: _record(rows, cols, l), lambda: bcoo_encode(zm), lambda: bcoo_from_bytes(_blob(rows, cols, l))):
+        with pytest.raises(BcooFormatError, match="malformed BCOO header"):
+            build()
+    with pytest.raises(BcooFormatError, match="malformed BCOO header"):
+        bcoo_encode(to_zmorton(np.zeros((0, 4)), 4))
+
+
+@st.composite
+def _record_builds(draw):
+    """A call that builds a record, through the constructor or bcoo_encode; shapes may break the header rule."""
+    rows, cols, l = draw(st.integers(-1, 9)), draw(st.integers(-1, 9)), draw(st.integers(-1, 4))
+    if draw(st.booleans()):
+        if min(rows, cols) < 0 or l < 1:
+            zm = ZMortonMatrix(rows=rows, cols=cols, l=l, blocks=np.zeros((1, 1, 1)))
+        else:
+            zm = to_zmorton(_random_sparse(np.random.default_rng(draw(st.integers(0, 99))), rows, cols, 0.5), l)
+        return lambda: bcoo_encode(zm)
+    bn = sorted(draw(st.sets(st.integers(0, 15), max_size=3)))
+    # each block's in-block positions p = 4 * AI + AJ, ascending
+    cells = [sorted(draw(st.sets(st.integers(0, 15), min_size=1, max_size=3))) for _ in bn]
+    flat = [p for block in cells for p in block]
+    bi = np.cumsum([0] + [len(block) for block in cells])
+    an = draw(st.lists(st.sampled_from([1.0, -2.5, 0.5]), min_size=len(flat), max_size=len(flat)))
+    return lambda: _record(rows, cols, l, bn, bi, [p // 4 for p in flat], [p % 4 for p in flat], an)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_builds())
+def test_every_record_that_constructs_round_trips_through_its_bytes(build):
+    try:
+        rec = build()
+    except BcooFormatError:
+        return
+    blob = bcoo_to_bytes(rec)
+    back, end = bcoo_from_bytes(blob)
+    assert end == len(blob) and bcoo_to_bytes(back) == blob
 
 
 def test_validate_does_not_build_the_block_grid():

@@ -438,10 +438,9 @@ def test_sparse_conv_matches_decoded_dense(plan):
     got = winograd_conv_sparse(fm, enc, plan, pad=1)
 
     l = plan.l
-    from winosim.engine import transform_input_batch
-    from winosim.layout import assemble_output
+    from winosim.layout import assemble_output, extract_tiles, scatter_to_matrices, transform_tiles
 
-    vb = transform_input_batch(fm, plan, 1)
+    vb = scatter_to_matrices(transform_tiles(plan, extract_tiles(fm, plan, 1)))
     P = vb.at(0, 0).cols
     mats = np.empty((l, l, 5, P))
     for i in range(l):
@@ -530,6 +529,16 @@ def test_block_reference_checks_records_like_the_sparse_path(plan):
         for conv in (winograd_conv_sparse, winograd_conv_blocks):
             with pytest.raises(ValueError, match=message):
                 conv(fm, records, plan, pad=1)
+
+
+@pytest.mark.parametrize("m, K, C, sparsity", [(2, 5, 6, 0.7), (3, 3, 9, 0.0), (4, 7, 2, 0.95), (2, 2, 3, 1.0)])
+def test_compress_filters_returns_the_stack_it_encodes(m, K, C, sparsity):
+    plan = make_plan(m, 3)
+    flt = np.random.default_rng(m + K).uniform(-1, 1, (K, C, 3, 3))
+    pruned, enc, achieved = compress_filters(flt, plan, sparsity)
+    assert pruned.shape == (plan.l**2, K, C)
+    assert pruned.tobytes() == bcoo._decode_stack(enc).tobytes()
+    assert achieved == 1.0 - np.count_nonzero(pruned) / pruned.size >= sparsity
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

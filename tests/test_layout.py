@@ -8,6 +8,7 @@ from winosim.layout import (
     _morton_decode_array,
     _filter_stack,
     _grid_codes,
+    _input_stack,
     _output_extent,
     _tile_counts,
     assemble_output,
@@ -120,25 +121,25 @@ def test_zmorton_round_trip(rows, cols, seed):
 def test_extract_tiles_counts_and_overlap(plan):
     fm = np.random.default_rng(0).uniform(-1, 1, (1, 4, 4))
     tiles = extract_tiles(fm, plan, pad=1)
-    assert tiles.shape == (1, 2, 2, 4, 4)
+    assert tiles.shape == (4, 4, 1, 2, 2)
     # adjacent tiles share r - 1 = 2 columns
-    assert np.array_equal(tiles[0, 0, 0, :, 2:], tiles[0, 0, 1, :, :2])
-    assert np.array_equal(tiles[0, 0, 0, 2:, :], tiles[0, 1, 0, :2, :])
+    assert np.array_equal(tiles[:, 2:, 0, 0, 0], tiles[:, :2, 0, 0, 1])
+    assert np.array_equal(tiles[2:, :, 0, 0, 0], tiles[:2, :, 0, 1, 0])
 
 
 def test_extract_tiles_single_tile_is_padded_input(plan):
     fm = np.random.default_rng(1).uniform(-1, 1, (3, 2, 2))
     tiles = extract_tiles(fm, plan, pad=1)
-    assert tiles.shape == (3, 1, 1, 4, 4)
+    assert tiles.shape == (4, 4, 3, 1, 1)
     padded = np.zeros((3, 4, 4))
     padded[:, 1:3, 1:3] = fm
-    assert np.array_equal(tiles[:, 0, 0], padded)
+    assert np.array_equal(tiles[:, :, :, 0, 0], padded.transpose(1, 2, 0))
 
 
 def test_extract_tiles_vgg_count(plan):
     fm = np.zeros((1, 224, 224))
     tiles = extract_tiles(fm, plan, pad=1)
-    assert tiles.shape[1:3] == (112, 112)
+    assert tiles.shape[3:] == (112, 112)
 
 
 def test_extract_tiles_reconstructs_covered_region(plan):
@@ -146,12 +147,12 @@ def test_extract_tiles_reconstructs_covered_region(plan):
     fm = rng.uniform(-1, 1, (2, 6, 6))
     pad = 1
     tiles = extract_tiles(fm, plan, pad)
-    C, th, tw, l, _ = tiles.shape
+    l, _, C, th, tw = tiles.shape
     m = plan.m
     rebuilt = np.zeros((C, th * m, tw * m))
     for x in range(th):
         for y in range(tw):
-            rebuilt[:, x * m : (x + 1) * m, y * m : (y + 1) * m] = tiles[:, x, y, :m, :m]
+            rebuilt[:, x * m : (x + 1) * m, y * m : (y + 1) * m] = tiles[:m, :m, :, x, y].transpose(2, 0, 1)
     padded = np.zeros((C, th * m + 2, tw * m + 2))
     padded[:, pad : pad + 6, pad : pad + 6] = fm
     assert np.array_equal(rebuilt, padded[:, : th * m, : tw * m])
@@ -209,14 +210,14 @@ def test_filter_stack_rejects_empty_bank(plan):
 
 
 def test_scatter_entry_placement(plan):
-    tiles = np.random.default_rng(4).uniform(-1, 1, (2, 2, 2, 4, 4))
+    tiles = np.random.default_rng(4).uniform(-1, 1, (4, 4, 2, 2, 2))
     batch = scatter_to_matrices(tiles)
     v00 = from_zmorton(batch.at(0, 0))
     # column b of V^(0,0) is tile b's (0, 0) entry, b = x*tw + y
     for c in range(2):
         for x in range(2):
             for y in range(2):
-                assert v00[c, x * 2 + y] == tiles[c, x, y, 0, 0]
+                assert v00[c, x * 2 + y] == tiles[0, 0, c, x, y]
 
 
 def test_gather_filters_shapes_and_values(plan):
@@ -252,10 +253,22 @@ def test_assemble_output_counts_inverse_transforms(plan):
 
 def test_transform_tiles_matches_single(plan):
     rng = np.random.default_rng(6)
-    tiles = rng.uniform(-1, 1, (3, 1, 2, 4, 4))
+    tiles = rng.uniform(-1, 1, (4, 4, 3, 1, 2))
     batch = transform_tiles(plan, tiles)
-    for idx in np.ndindex(3, 1, 2):
-        assert np.allclose(batch[idx], plan.Bt @ tiles[idx] @ plan.Bt.T, rtol=0, atol=1e-15)
+    for c, x, y in np.ndindex(3, 1, 2):
+        want = plan.Bt @ tiles[:, :, c, x, y] @ plan.Bt.T
+        assert np.allclose(batch[:, :, c, x, y], want, rtol=0, atol=1e-15)
+
+
+def test_tile_stacks_are_contiguous_and_position_major(plan):
+    fm = np.random.default_rng(7).uniform(-1, 1, (3, 5, 7))
+    tiles = extract_tiles(fm, plan, pad=1)
+    transformed = transform_tiles(plan, tiles)
+    for stack in (tiles, transformed):
+        assert stack.shape == (4, 4, 3, 3, 4) and stack.flags.c_contiguous
+    # the (l*l, C, P) GEMM operand is the same memory, regrouped
+    V = _input_stack(transformed)
+    assert V.shape == (16, 3, 12) and np.shares_memory(V, transformed)
 
 
 def test_zmorton_zeros_refuses_oversized_grid():
@@ -300,6 +313,16 @@ def _bytes(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def _tile_major(tiles):
+    """An (l, l, C, th, tw) stack viewed as the references' (C, th, tw, l, l)."""
+    return tiles.transpose(2, 3, 4, 0, 1)
+
+
+def _position_major(tiles):
+    """A (C, th, tw, l, l) reference stack viewed as (l, l, C, th, tw)."""
+    return tiles.transpose(3, 4, 0, 1, 2)
+
+
 def _position_major_view(a):
     """The same values as `a` (..., n, n), over contiguous (n, n, ...) memory."""
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))), (0, 1), (-2, -1))
@@ -328,15 +351,15 @@ def test_transforms_byte_identical_to_tile_major_references(m, C, K, H, W, pad, 
 
     tiles = extract_tiles(fm, plan, pad)
     ref_tiles = _ref_extract_tiles(fm, plan, pad)
-    assert tiles.shape == ref_tiles.shape and _bytes(tiles) == ref_tiles.tobytes()
-    assert np.moveaxis(tiles, (-2, -1), (0, 1)).flags.c_contiguous
+    assert _tile_major(tiles).shape == ref_tiles.shape and _bytes(_tile_major(tiles)) == ref_tiles.tobytes()
+    assert tiles.flags.c_contiguous
 
     # Every memory order of the same tiles gives the bytes of the C-contiguous reference.
     want = _ref_transform_tiles(plan, ref_tiles)
-    for source in (tiles, ref_tiles, np.asfortranarray(ref_tiles)):
+    for source in (tiles, _position_major(ref_tiles), np.asfortranarray(_position_major(ref_tiles))):
         got = transform_tiles(plan, source)
-        assert got.shape == want.shape and _bytes(got) == _bytes(want)
-        assert np.moveaxis(got, (-2, -1), (0, 1)).flags.c_contiguous
+        assert _tile_major(got).shape == want.shape and _bytes(_tile_major(got)) == _bytes(want)
+        assert got.flags.c_contiguous
 
     want = _ref_filter_stack(filters, plan)
     for source in (filters, _position_major_view(filters), np.asfortranarray(filters)):
@@ -367,7 +390,8 @@ def test_zero_skipping_transforms_keep_the_sign_of_zero(m):
     l = plan.l
     rng = np.random.default_rng(m)
     tiles = _signed_zeros(rng, (3, 2, 3, l, l))
-    assert _bytes(transform_tiles(plan, tiles)) == _ref_transform_tiles(plan, tiles).tobytes()
+    got = transform_tiles(plan, np.ascontiguousarray(_position_major(tiles)))
+    assert _bytes(_tile_major(got)) == _ref_transform_tiles(plan, tiles).tobytes()
     filters = np.moveaxis(_signed_zeros(rng, (3, 4, 3, 3)), 0, 1)  # all-zero input channels
     assert _filter_stack(filters, plan).tobytes() == _ref_filter_stack(filters, plan).tobytes()
     mats = np.moveaxis(_signed_zeros(rng, (3, l, l, 6)), 0, 2)  # all-zero output channels
