@@ -41,12 +41,29 @@ def _parse_shape(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _parse_list(text: str, kind, example: str) -> list:
+    try:
+        return [kind(p) for p in text.split(",") if p != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad list {text!r}; expected like {example}")
+
+
 def _parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p != ""]
+    return _parse_list(text, float, "0.6,0.9")
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p != ""]
+    return _parse_list(text, int, "2,4")
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}; expected a non-negative integer")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}; expected a non-negative integer")
+    return seed
 
 
 def _load_spec(arg: str, scale: int) -> engine.NetworkSpec:
@@ -251,33 +268,24 @@ def cmd_dse(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # No abbreviations anywhere: a flag added later must not change what an
-    # old command line means, as `dse --m 4` once meant `--m-values 4`.
-    ap = argparse.ArgumentParser(prog="winosim", description=__doc__, allow_abbrev=False)
-    sub = ap.add_subparsers(dest="command", required=True)
+def _common_args(p, m=True, r=True):
+    if m:
+        p.add_argument("--m", type=int, default=2, help="outputs per tile edge (default 2)")
+    if r:
+        p.add_argument("--r", type=int, default=3, help="filter width (default 3)")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="seed for synthetic data")
 
-    def command(name, func, summary):
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.set_defaults(func=func)
-        return p
 
-    def common(p, m=True, r=True):
-        if m:
-            p.add_argument("--m", type=int, default=2, help="outputs per tile edge (default 2)")
-        if r:
-            p.add_argument("--r", type=int, default=3, help="filter width (default 3)")
-        p.add_argument("--seed", type=int, default=0, help="seed for synthetic data")
-
-    p = command("verify", cmd_verify, "run oracle-equivalence and format checks")
-    common(p)
+def _verify_args(p):
+    _common_args(p)
     p.add_argument("--shape", type=_parse_shape, action="append",
                    help="extra CxHxW input shape to check (repeatable)")
     p.add_argument("--inject-corruption", action="store_true",
                    help="corrupt one transformed weight; the run must then fail")
 
-    p = command("convolve", cmd_convolve, "run one convolution layer")
-    common(p)
+
+def _convolve_args(p):
+    _common_args(p)
     p.add_argument("--mode", choices=["direct", "dense", "sparse"], default="dense")
     p.add_argument("--shape", type=_parse_shape, help="synthetic input CxHxW (default 3x16x16)")
     p.add_argument("--k", type=int, default=4, help="synthetic filter count")
@@ -287,31 +295,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filters", help="filter tensor container (KxCxrxr)")
     p.add_argument("--out", default="out.tensor")
 
-    p = command("compress", cmd_compress, "transform, prune, and BCOO-encode filters")
-    common(p)
+
+def _compress_args(p):
+    _common_args(p)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--c", type=int, default=8)
     p.add_argument("--sparsity", type=float, default=0.7)
     p.add_argument("--filters", help="filter tensor container (KxCxrxr)")
     p.add_argument("--out", default="weights.bcoo")
 
-    def sim_common(p):
-        p.add_argument("--spec", default="vgg16", help="network config path or 'vgg16'")
-        p.add_argument("--scale", type=int, default=1,
-                       help="divide extents/channels for a quick look")
-        p.add_argument("--clusters", type=int, default=sim.ArchConfig.clusters)
-        p.add_argument("--transform-arrays", type=int, default=sim.ArchConfig.transform_arrays)
-        p.add_argument("--fifo-depth", type=int, default=sim.ArchConfig.fifo_depth)
-        p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
 
-    p = command("simulate", cmd_simulate, "simulate layers on the systolic model, emit CSV")
-    common(p, r=False)  # r from each layer
-    sim_common(p)
+def _sim_args(p):
+    p.add_argument("--spec", default="vgg16", help="network config path or 'vgg16'")
+    p.add_argument("--scale", type=int, default=1,
+                   help="divide extents/channels for a quick look")
+    p.add_argument("--clusters", type=int, default=sim.ArchConfig.clusters)
+    p.add_argument("--transform-arrays", type=int, default=sim.ArchConfig.transform_arrays)
+    p.add_argument("--fifo-depth", type=int, default=sim.ArchConfig.fifo_depth)
+    p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
+
+
+def _simulate_args(p):
+    _common_args(p, r=False)  # r from each layer
+    _sim_args(p)
     p.add_argument("--sparsity", type=float, default=0.0)
 
-    p = command("dse", cmd_dse, "analytical + simulated design-space sweep, emit CSV")
-    common(p, m=False, r=False)  # m comes from --m-values, r from each layer
-    sim_common(p)
+
+def _dse_args(p):
+    _common_args(p, m=False, r=False)  # m comes from --m-values, r from each layer
+    _sim_args(p)
     p.add_argument("--m-values", type=_parse_int_list, default=[2], dest="m_values")
     p.add_argument("--sparsities", type=_parse_float_list, default=[0.0])
     ep = model.EnergyParams
@@ -323,11 +335,43 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the C-only/K-only transform-add variant")
     p.add_argument("--no-sim", action="store_true", help="skip the simulator columns")
 
+
+# name: (handler, one-line summary, adds the command's arguments to its parser)
+_COMMANDS = {
+    "verify": (cmd_verify, "run oracle-equivalence and format checks", _verify_args),
+    "convolve": (cmd_convolve, "run one convolution layer", _convolve_args),
+    "compress": (cmd_compress, "transform, prune, and BCOO-encode filters", _compress_args),
+    "simulate": (cmd_simulate, "simulate layers on the systolic model, emit CSV", _simulate_args),
+    "dse": (cmd_dse, "analytical + simulated design-space sweep, emit CSV", _dse_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The winosim parser: every subcommand, or only `command`'s when it names one.
+
+    An invocation parses with one subcommand, so main builds only that
+    one; the command list in the usage line stays whole, so help text
+    and errors read the same either way.
+    """
+    # No abbreviations anywhere: a flag added later must not change what an
+    # old command line means, as `dse --m 4` once meant `--m-values 4`.
+    ap = argparse.ArgumentParser(prog="winosim", description=__doc__, allow_abbrev=False)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # argparse names the built commands in the usage line; name them all
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, summary, add_args = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        add_args(p)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -23,16 +23,21 @@ blocks deep) and the feature-map FIFO is split into two half-depth FIFOs,
 one per output-column group.
 
 Everything is cycle-deterministic: identical inputs and configuration
-produce identical reports.  simulate_layer therefore memoizes a layer's
-report on its geometry (K, C, tile count), the ArchConfig, sparsity and
-seed, so `simulate` and `dse` price repeated layer geometries once.  A
-geometry's l*l positions share one stream schedule and are replayed in
-one batched pass: their weight tables, activity masks and the counts
-derived from them are built together, and per position each buffer
-runs one pure-Python walk that counts its misses and, for the weights,
-sums the decompressor's nonzeros.  The seeded survivor draw of a (block
-count, seed, position) is memoized too, so every swept sparsity reads a
-prefix of one permutation.
+produce identical reports.  A layer's matmul stage depends only on its
+padded block grid (the power-of-two block extents of K, C and the tile
+count), the ArchConfig, sparsity and seed, so simulate_layer memoizes
+that stage on exactly those and adds the two transform stages, which
+scale with C and K times the tile count, outside the memo: `simulate`
+and `dse` replay a repeated block grid once, even across layers of
+different tile counts.  The dense datapath is priced in closed form
+from the schedule's shape, its two FIFO walks aside.  A sparse grid's
+l*l positions share one stream schedule and are replayed in one batched
+pass: their weight tables, activity masks and the counts derived from
+them are built together, and per position each buffer runs one
+pure-Python walk that counts its misses and sums the decompressor's
+nonzeros.  The seeded survivor draw of a (block count, seed, position)
+is memoized too, so every swept sparsity reads a prefix of one
+permutation.
 """
 
 from __future__ import annotations
@@ -195,19 +200,17 @@ def _run_cluster_schedules(
     keyed by Morton code, feature-map blocks by (row, column) rank: a
     skinny grid's codes spread far wider than its block count.  At every
     step half 0's key lies below half 1's, so each step's distinct
-    ascending keys need no sort.  Activity and the counts derived from it
-    are built for all positions at once; per position, each buffer's
-    access sequence goes to one list walk.
+    ascending keys need no sort.  The dense datapath is priced in closed
+    form (_run_dense_schedule).  For the sparse one, activity and the
+    counts derived from it are built for all positions at once; per
+    position, each buffer's access sequence goes to one list walk.
     """
+    if nnz is None:
+        return [_run_dense_schedule(keys, cfg, collect_steps)]
     issue = cfg.cycles_per_block_matmul_issue
     a, b = keys
     n_col_halves = len(b)
-    sparse = nnz is not None
-    if sparse:
-        member = nnz > 0  # member[pos, code]: does position pos run operations on weight code?
-    else:  # every weight block present, and no decompressor to charge
-        member = np.ones((1, int(a.max()) + 1), dtype=bool)
-        nnz = np.zeros(member.shape, dtype=np.uint8)
+    member = nnz > 0  # member[pos, code]: does position pos run operations on weight code?
     fm_cost = [0] * (int(b.max()) + 1)
     act = member[:, a]  # (position, step, row half)
     rows_active = act.sum(axis=2, dtype=np.uint8)
@@ -221,23 +224,17 @@ def _run_cluster_schedules(
     reps = []
     for p in range(len(member)):
         a_misses, decomp = _fifo_misses(a[act[p]].tolist(), cfg.fifo_depth, nnz[p].tolist())
-        if sparse:
-            # Both column-half FIFOs see one mask, and their keys differ by one
-            # constant, so they miss alike: replay one, count it per half.
-            fm_seq, fm_depth, fm_fifos = b[0][ran[p]], cfg.fifo_depth // 2, n_col_halves
-        else:
-            fm_seq, fm_depth, fm_fifos = b.T.ravel(), cfg.fifo_depth, 1
-        fm_misses = _fifo_misses(fm_seq.tolist(), fm_depth, fm_cost)[0]
+        # Both column-half FIFOs see one mask, and their keys differ by one
+        # constant, so they miss alike: replay one, count it per half.
+        fm_misses = _fifo_misses(b[0][ran[p]].tolist(), cfg.fifo_depth // 2, fm_cost)[0]
 
         compute = steps[p] * issue
-        stall = 0
-        if sparse:
-            decomp *= cfg.decompress_cycles_per_nnz
-            stall = max(0, decomp - compute) if cfg.fifo_depth >= 2 else decomp
+        decomp *= cfg.decompress_cycles_per_nnz
+        stall = max(0, decomp - compute) if cfg.fifo_depth >= 2 else decomp
         total = cfg.pipeline_fill + compute + stall if macs[p] else 0
         rep = SimReport(
             total_cycles=total,
-            external_block_fetches=a_misses + fm_fifos * fm_misses,
+            external_block_fetches=a_misses + n_col_halves * fm_misses,
             block_matmuls_executed=macs[p],
             busy_cycles=busy[p],
             operand_slots=2 * macs[p],
@@ -251,6 +248,38 @@ def _run_cluster_schedules(
             rep.step_distinct = (active + n_col_halves).tolist()
         reps.append(rep)
     return reps
+
+
+def _run_dense_schedule(keys, cfg: ArchConfig, collect_steps: bool) -> SimReport:
+    """_run_cluster_schedules on the dense datapath, its counts in closed form from the key shapes.
+
+    Every operation runs, so every step issues all of its row halves times
+    column halves, and each buffer walks its whole key sequence in one
+    shared FIFO with no decompressor to charge.
+    """
+    a, b = keys
+    n_steps, n_row_halves = a.shape
+    n_arrays = n_row_halves * len(b)
+    compute = n_steps * cfg.cycles_per_block_matmul_issue
+    macs = n_arrays * n_steps
+    misses = sum(
+        _fifo_misses(seq.tolist(), cfg.fifo_depth, [0] * (int(seq.max()) + 1))[0]
+        for seq in (a.ravel(), b.T.ravel())
+    )
+    total = cfg.pipeline_fill + compute
+    rep = SimReport(
+        total_cycles=total,
+        external_block_fetches=misses,
+        block_matmuls_executed=macs,
+        busy_cycles=[compute] * n_arrays + [0] * (4 - n_arrays),
+        operand_slots=2 * macs,
+        steps_executed=n_steps,
+        matmul_cycles=total,
+    )
+    if collect_steps:
+        rep.step_slots = [2 * n_arrays] * n_steps
+        rep.step_distinct = [n_row_halves + len(b)] * n_steps
+    return rep
 
 
 def _cluster_grid(U, V: ZMortonMatrix, cfg: ArchConfig) -> tuple[int, int, int]:
@@ -332,8 +361,8 @@ def simulate_layer(
     blocks (deterministic seeded choice, nested across sparsities) and
     surviving blocks carry the element-wise-pruning nonzero estimate of
     _synthetic_block_nnz; at zero sparsity the dense datapath (no
-    decompressors) is modelled.  Layers of one geometry share a memoized
-    report; each call gets its own copy.
+    decompressors) is modelled.  Layers of one padded block grid share a
+    memoized matmul stage; each call gets its own report.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError("sparsity must lie in [0, 1]")
@@ -342,24 +371,36 @@ def simulate_layer(
     if plan.r != layer.r:
         raise ValueError(f"{layer.name}: filter width {layer.r} != plan r={plan.r}")
     th, tw = layer.tile_counts(plan.m)
-    rep = _simulate_geometry(layer.K, layer.C, th * tw, cfg, sparsity, seed)
-    return replace(rep, busy_cycles=list(rep.busy_cycles))
+    P = th * tw
+    grid = (_block_extent(n, cfg.l) for n in (layer.K, layer.C, P))
+    rep = _simulate_geometry(*grid, cfg, sparsity, seed)
+    t_in = simulate_transform(layer.C * P, cfg).total_cycles
+    t_out = simulate_transform(layer.K * P, cfg).total_cycles
+    return replace(
+        rep,
+        total_cycles=t_in + rep.matmul_cycles + t_out,
+        busy_cycles=list(rep.busy_cycles),
+        transform_cycles=t_in,
+        inverse_cycles=t_out,
+    )
 
 
 @lru_cache(maxsize=256)
 def _simulate_geometry(
-    K: int, C: int, P: int, cfg: ArchConfig, sparsity: float, seed: int
+    mb: int, nb: int, pb: int, cfg: ArchConfig, sparsity: float, seed: int
 ) -> SimReport:
-    """simulate_layer's report for K filters, C channels and P = th*tw tiles.
+    """simulate_layer's matmul stage on the padded (mb x nb) by (nb x pb) block grid.
 
-    The report depends on nothing else of the layer: not its name, and not
-    H and W beyond P.  Callers get a copy, so the memo is never aliased.
-    All l*l positions replay in one _run_cluster_schedules call; at nonzero
-    sparsity each keeps a prefix of its memoized _survivor_order draw, and
-    at zero sparsity one dense replay stands for every position.
+    The stage depends on nothing else of the layer: not its name, and not
+    K, C or its tile count beyond their padded block extents, so layers
+    that differ only there (and in their transform stages, which
+    simulate_layer adds) share one entry.  simulate_layer returns copies,
+    so the memo is never aliased.  All l*l positions replay in one
+    _run_cluster_schedules call; at nonzero sparsity each keeps a prefix
+    of its memoized _survivor_order draw, and at zero sparsity one dense
+    replay stands for every position.
     """
     l = cfg.l
-    mb, nb, pb = (_block_extent(n, l) for n in (K, C, P))
     keys = _operand_keys(mb, nb, pb)
 
     if sparsity > 0.0:
@@ -386,14 +427,9 @@ def _simulate_geometry(
             busy[cluster * 4 + q] += b
 
     matmul_stage = max(cluster_cycles)
-    t_in = simulate_transform(C * P, cfg)
-    t_out = simulate_transform(K * P, cfg)
     return SimReport(
-        total_cycles=t_in.total_cycles + matmul_stage + t_out.total_cycles,
+        total_cycles=matmul_stage,
         busy_cycles=busy,
         **{f: sum(getattr(rep, f) for rep in reps) for f in _ADDITIVE_FIELDS},
-        transform_cycles=t_in.total_cycles,
         matmul_cycles=matmul_stage,
-        inverse_cycles=t_out.total_cycles,
     )
-

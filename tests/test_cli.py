@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +258,84 @@ def test_no_parser_accepts_an_abbreviated_flag(argv, capsys):
 def test_bad_shape_rejected():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["verify", "--shape", "banana"])
+
+
+_COMMANDS = ["verify", "convolve", "compress", "simulate", "dse"]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_negative_seed_rejected_by_every_command(tmp_path, capsys, command):
+    # refused while parsing, whatever the command would have done with it
+    args = [] if command == "verify" else ["--out", str(tmp_path / "o")]
+    if command in ("simulate", "dse"):
+        args += ["--scale", "16"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--seed", "-1", *args])
+    assert exc.value.code == 2
+    assert "argument --seed: bad seed '-1'; expected a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value, example", [
+    ("--m-values", "2,x", "2,4"),
+    ("--sparsities", "0.6,y", "0.6,0.9"),
+])
+def test_bad_dse_list_rejected_in_plain_words(capsys, flag, value, example):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["dse", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: bad list {value!r}; expected like {example}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--shape", "1x2x2", "--inject-corruption"],
+    ["verify", "extra"],
+    ["convolve", "--mode", "bogus"],
+    ["compress", "--k", "3", "--sparsity", "0.5", "--seed", "4"],
+    ["simulate", "--help"],
+    ["simulate", "--spec", "net.cfg", "--scale", "4", "--fifo-depth", "3"],
+    ["simulate", "--seed", "x"],
+    ["dse", "--m", "4"],
+    ["dse", "--m-values", "2,4", "--sparsities", "0.6", "--no-sim"],
+])
+def test_one_command_parser_parses_like_the_full_one(argv, capsys):
+    # main builds only the named command's parser: namespaces, help and errors must not tell
+    def parse(parser):
+        try:
+            return parser.parse_args(argv), None, capsys.readouterr()
+        except SystemExit as exc:
+            return None, exc.code, capsys.readouterr()
+
+    assert parse(cli.build_parser(argv[0])) == parse(cli.build_parser())
+
+
+def _entry_point(*argv):
+    """`python -m winosim.cli ARGV` in a fresh process, help wrapped at 80 columns."""
+    env = dict(os.environ, COLUMNS="80")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "winosim.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_entry_point_help_lists_every_command():
+    proc = _entry_point("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "{" + ",".join(_COMMANDS) + "}" in proc.stdout
+    listed = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("    ")]
+    assert listed == _COMMANDS
+
+
+def test_entry_point_subcommand_help_matches_full_parser(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["simulate", "--help"])
+    proc = _entry_point("simulate", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_entry_point_without_command_exits_2():
+    proc = _entry_point()
+    assert proc.returncode == 2
+    assert "error: the following arguments are required: command" in proc.stderr

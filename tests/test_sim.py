@@ -11,6 +11,7 @@ from test_engine import _malformed_records
 from winosim.bcoo import BcooFormatError, BcooMatrix, bcoo_encode, bcoo_from_bytes, bcoo_to_bytes
 from winosim.engine import LayerSpec, _operand_keys, matmul_streams
 from winosim.layout import _grid_codes, to_zmorton
+from winosim.model import dse_sweep, scale_network, vgg16_spec
 from winosim.plans import make_plan
 from winosim.sim import (
     ArchConfig,
@@ -21,6 +22,7 @@ from winosim.sim import (
     simulate_transform,
 )
 from winosim.sim import (
+    _ADDITIVE_FIELDS,
     _fifo_misses,
     _run_cluster_schedules,
     _simulate_geometry,
@@ -490,6 +492,35 @@ def test_layer_report_does_not_alias_memo(plan, cfg):
     first.busy_cycles[0] += 1
     first.busy_cycles.append(5)
     assert simulate_layer(layer, plan, cfg, 0.7, seed=1) == want
+
+
+def test_layer_memo_holds_one_entry_per_block_grid(plan, cfg):
+    # scale-4 VGG16 at m = 2: ten (K, C, tiles) geometries on nine padded block grids
+    layers = scale_network(vgg16_spec(), 4).conv_layers()
+    _simulate_geometry.cache_clear()
+    dse_sweep(scale_network(vgg16_spec(), 4), [2], [0.0], cfg=cfg)
+    assert len({(layer.K, layer.C, layer.tile_counts(2)) for layer in layers}) == 10
+    assert _simulate_geometry.cache_info().currsize == 9
+
+    # conv5_1 (4 tiles) and conv6_1 (1 tile) share the (32, 32, 1) grid
+    by_name = {layer.name: layer for layer in layers}
+    reps = [simulate_layer(by_name[name], plan, cfg) for name in ("conv5_1", "conv6_1")]
+    for f in _ADDITIVE_FIELDS + ("matmul_cycles", "busy_cycles"):
+        assert getattr(reps[0], f) == getattr(reps[1], f), f
+    for name, rep in zip(("conv5_1", "conv6_1"), reps):
+        layer = by_name[name]
+        tiles = np.prod(layer.tile_counts(2))
+        assert rep.transform_cycles == simulate_transform(layer.C * tiles, cfg).total_cycles
+        assert rep.inverse_cycles == simulate_transform(layer.K * tiles, cfg).total_cycles
+        assert rep.total_cycles == rep.transform_cycles + rep.matmul_cycles + rep.inverse_cycles
+    assert reps[0].transform_cycles > reps[1].transform_cycles
+
+    # neither report aliases the shared entry
+    want = dataclasses.replace(reps[1], busy_cycles=list(reps[1].busy_cycles))
+    reps[0].busy_cycles[0] += 1
+    reps[1].busy_cycles.append(5)
+    assert simulate_layer(by_name["conv6_1"], plan, cfg) == want
+    assert simulate_layer(by_name["conv5_1"], plan, cfg).busy_cycles == want.busy_cycles
 
 
 def test_layer_determinism(plan, cfg):
