@@ -398,3 +398,45 @@ def test_zero_skipping_transforms_keep_the_sign_of_zero(m):
     got = assemble_output(mats, plan, 3, 2 * m, 3 * m)
     assert got.tobytes() == _ref_assemble_output(mats, plan, 3, 2 * m, 3 * m).tobytes()
     assert np.signbit(got[:2]).sum() == 0  # a sum that starts at +0.0 never ends at -0.0
+
+
+def _edge_operand(rng, shape, scale):
+    """Uniform values times `scale`; along the last axis of each row, one run of +0.0 and one of -0.0."""
+    a = rng.uniform(-1, 1, shape) * scale
+    for row in a.reshape(-1, shape[-1]):
+        for zero in (0.0, -0.0):
+            start, stop = sorted(rng.integers(0, shape[-1] + 1, 2))
+            row[start:stop] = zero
+    return a
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-1060, 1e290], ids=["unit", "subnormal", "near-overflow"])
+@pytest.mark.parametrize("m, r", [(2, 2), (4, 2), (6, 2), (2, 3), (3, 3), (4, 3), (6, 3), (2, 5), (4, 5)])
+def test_transforms_byte_identical_at_the_edges_of_the_range(m, r, scale):
+    # The kernel forms |M[a,b]| * x once per (b, d), multiplies by |M[e,d]| and
+    # adds or subtracts; each output's first term is written as 0.0 +- t.  That is
+    # exact only with sign-symmetric rounding and the +0.0 start: subnormal
+    # operands round at every step (a folded (M[a,b] * M[e,d]) * x shows there),
+    # and runs of +-0.0 make first terms of -0.0.
+    plan = make_plan(m, r)
+    l = plan.l
+    rng = np.random.default_rng(m * 10 + r)
+    tiles = _edge_operand(rng, (3, 2, 3, l, l), scale)
+    got = transform_tiles(plan, np.ascontiguousarray(_position_major(tiles)))
+    assert _bytes(_tile_major(got)) == _ref_transform_tiles(plan, tiles).tobytes()
+    filters = _edge_operand(rng, (4, 3, r, r), scale)
+    assert _filter_stack(filters, plan).tobytes() == _ref_filter_stack(filters, plan).tobytes()
+    mats = np.moveaxis(_edge_operand(rng, (3, 6, l, l), scale), (2, 3), (0, 1))
+    got = assemble_output(mats, plan, 3, 2 * m - 1, 3 * m)
+    assert got.tobytes() == _ref_assemble_output(mats, plan, 3, 2 * m - 1, 3 * m).tobytes()
+
+
+def test_transform_outputs_no_term_reaches_are_plus_zero():
+    # A zero row of M leaves its outputs without a first term; they must still read +0.0.
+    from winosim.layout import _sandwich
+
+    M = np.array([[0.5, -1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
+    X = _signed_zeros(np.random.default_rng(9), (3, 3, 4, 5))
+    got = _sandwich(M, X)
+    assert got.tobytes() == np.einsum("ab,bd...,ed->ae...", M, X, M).tobytes()
+    assert not np.signbit(got[1]).any() and not np.signbit(got[:, 1]).any()

@@ -29,6 +29,7 @@ def _env():
         ("print_parameter_table.py", []),
         ("trace_block_schedule.py", []),
         ("sweep_energy_latency.py", ["--scale", "16", "--out", "{tmp}/dse.csv"]),
+        ("transform_timing.py", ["--repeats", "1", "--shrink", "8", "--scale", "16"]),
     ],
 )
 def test_script_runs(tmp_path, script, args):
