@@ -7,6 +7,10 @@ layers, 64x28x28 and 128x14x14 with K = C and pad 1, beside the einsum
 forms the tests keep as references (position-major operands, so the
 einsum sums in the same order and gives the same bytes).
 
+For each m it also prints the time `_sandwich_program` takes to build
+the program of Bt, G and At in a fresh process, where its memo is empty
+(median and range over --repeats processes per m).
+
 It then runs one cold scale-4 VGG16 `winograd_conv_dense` pass at m = 2
 in a fresh process with one BLAS thread and prints its minor page faults
 (`resource.getrusage`) and its split: filter, input and inverse
@@ -34,6 +38,24 @@ from winosim.plans import make_plan
 LAYERS = ((64, 28), (128, 14))  # (C = K, H = W)
 M_VALUES = (2, 3, 4, 6)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Runs in a fresh process: the first, unmemoized build of each transform program of one plan.
+BUILD = """
+import json, sys, time
+import numpy as np
+from winosim.layout import _sandwich_program
+from winosim.plans import make_plan
+
+plan = make_plan(int(sys.argv[1]), 3)
+spent = {}
+for name in ("Bt", "G", "At"):
+    M = getattr(plan, name)
+    entries = np.ascontiguousarray(M, dtype=float).tobytes()
+    t0 = time.perf_counter()
+    _sandwich_program(M.shape, entries)
+    spent[name] = time.perf_counter() - t0
+print(json.dumps(spent))
+"""
 
 # Runs in a fresh process: one dense pass over every scaled VGG16 conv layer,
 # each stage timed through a wrapper on the engine's module globals.
@@ -99,9 +121,10 @@ def stages(plan, C: int, H: int, rng):
     )
 
 
-def cold_pass(scale: int) -> dict:
+def fresh(script: str, arg: int) -> dict:
+    """The JSON line `script` prints, run with `arg` in a fresh process with one BLAS thread."""
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
-    proc = subprocess.run([sys.executable, "-c", COLD_PASS, str(scale)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(arg)], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -123,7 +146,17 @@ def main():
                 print(f"{m:>2}  {f'{C}x{H}x{H}':<11} {name:<8} "
                       f"{median_ms(kernel, args.repeats):>10.3f} {median_ms(einsum, args.repeats):>10.3f}")
 
-    res = cold_pass(args.scale)
+    print(f"\n_sandwich_program build in a fresh process, ms (median [min-max] of {args.repeats})")
+    print(f"{'m':>2}  " + "  ".join(f"{name:>17}" for name in ("Bt", "G", "At")))
+    for m in M_VALUES:
+        runs = [fresh(BUILD, m) for _ in range(args.repeats)]
+        cells = []
+        for name in ("Bt", "G", "At"):
+            ms = [1e3 * run[name] for run in runs]
+            cells.append(f"{statistics.median(ms):6.2f} [{min(ms):.2f}-{max(ms):.2f}]")
+        print(f"{m:>2}  " + "  ".join(f"{c:>17}" for c in cells))
+
+    res = fresh(COLD_PASS, args.scale)
     gemm = res["conv"] - res["extract"] - res["input"] - res["inverse"]
     rest = res["wall"] - res["filter"] - res["input"] - res["inverse"] - gemm
     print(f"\ncold scale-{args.scale} VGG16 winograd_conv_dense pass, m = 2: "

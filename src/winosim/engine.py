@@ -340,8 +340,8 @@ def direct_conv(
     K, Cf, r, r2 = filters.shape
     if Cf != C or r != r2:
         raise ValueError("filter bank does not match the feature map")
-    if K < 1:
-        raise ValueError(f"filter bank needs K >= 1, got K={K}")
+    if K < 1 or C < 1:
+        raise ValueError(f"filter bank needs K, C >= 1, got K={K}, C={C}")
     if not (np.isfinite(fm).all() and np.isfinite(filters).all()):
         raise ValueError("convolution operand holds non-finite values (NaN or inf)")
     oh, ow = _output_extent(H, W, r, pad, stride)

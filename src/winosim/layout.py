@@ -297,10 +297,11 @@ class _Step:
     once per step, into one scratch row.  The rows g * x of every |M[a, b]|
     other than 1 come from one multiply.  A block is one such row times a
     signed column span of M, k scratch rows, freed when its group is done.
+    An update adds or subtracts one source into a block of outputs of the
+    accumulator, which _sandwich starts at +0.0.
     """
 
-    def __init__(self, written: list, magnitudes: list, coef):
-        self.written = written  # written[a][e]: an earlier update wrote out[a, e]
+    def __init__(self, magnitudes: list, coef):
         self.groups: list = [([], [])]  # (multiplies, updates) per group of rows
         self.slots = self.peak = 0
         self.products: dict[tuple, int | None] = {(): None}
@@ -328,27 +329,18 @@ class _Step:
         return self.products[key]
 
     def update(self, a0: int, a1: int, e0: int, e1: int, add: bool, src) -> None:
-        """Add or subtract the source into out[a0:a1, e0:e1]; each output's first write is 0.0 +- t."""
-        op = np.add if add else np.subtract
-        updates = self.groups[-1][1]
-        done = [row[e0:e1] for row in self.written[a0:a1]]
-        pieces = [(0, len(done), 0, e1 - e0)]
-        if not (done.count(done[0]) == len(done) and done[0].count(done[0][0]) == len(done[0])):
-            pieces = [(r0, r1, c0, c1) for r0, r1 in _runs(done) for c0, c1 in _runs(done[r0])]
-        for r0, r1, c0, c1 in pieces:
-            rows = _index(src.start + c0, src.start + c1) if isinstance(src, slice) else src
-            updates.append((op, not done[r0][c0], _index(a0 + r0, a0 + r1), _index(e0 + c0, e0 + c1), rows))
-        for row in self.written[a0:a1]:
-            row[e0:e1] = [True] * (e1 - e0)
+        """Add or subtract the source into out[a0:a1, e0:e1]."""
+        self.groups[-1][1].append((np.add if add else np.subtract, _index(a0, a1), _index(e0, e1), src))
 
 
 @lru_cache(maxsize=16)
 def _sandwich_program(shape: tuple[int, int], entries: bytes):
     """The straight-line program _sandwich runs for one matrix M, from M's entries alone.
 
-    Returns (steps, scratch rows, unwritten outputs).  Each step is
-    (b, d, groups), in row-major (b, d) order; each group is (multiplies,
-    updates) for the rows a of one |M[a, b]|.  A step's first multiply
+    Returns (steps, scratch rows).  Each step is (b, d, groups), in
+    row-major (b, d) order; each group is (multiplies, updates) for the
+    rows a of one |M[a, b]|, an update being (np.add or np.subtract,
+    outputs a, outputs e, source).  A step's first multiply
     forms |M[a, b]| * x for every such magnitude other than 1.  A group
     then takes the cheaper of two forms, priced in ufunc calls (_CALL_COST
     each) plus passes over n-long operands:
@@ -362,7 +354,7 @@ def _sandwich_program(shape: tuple[int, int], entries: bytes):
     of the magnitude of (M[a,b] * x) * M[e,d] and with its sign.  Zero
     M[a, b] are skipped, and so are zero M[e, d] outside the span.
     """
-    na, nb = shape
+    nb = shape[1]
     cols = np.frombuffer(entries).reshape(shape).T.tolist()
 
     def coefficients(values: list):
@@ -391,7 +383,6 @@ def _sandwich_program(shape: tuple[int, int], entries: bytes):
     # per column b: the |M[a, b]| other than 1, and them as one multiplier
     magnitudes = [[g for g, _ in groups if g != 1.0] for groups in row_groups]
     row_coefs = [coefficients(gs) if gs else None for gs in magnitudes]
-    written = [[False] * na for _ in range(na)]
     steps, slots = [], 0
     for b, d in np.ndindex(nb, nb):
         e0, e1, column, e_runs = spans[d]
@@ -399,7 +390,7 @@ def _sandwich_program(shape: tuple[int, int], entries: bytes):
             continue
         width = e1 - e0
         nnz = sum(c1 - c0 for c0, c1, _ in e_runs)
-        step = _Step(written, magnitudes[b], row_coefs[b])
+        step = _Step(magnitudes[b], row_coefs[b])
         for g, a_runs in row_groups[b]:
             rows = sum(r1 - r0 for r0, r1, _ in a_runs)
             blocked = (_CALL_COST + 1 + width) + len(a_runs) * (_CALL_COST + width) + 2 * rows * width
@@ -420,8 +411,7 @@ def _sandwich_program(shape: tuple[int, int], entries: bytes):
                 step.slots -= width
         slots = max(slots, step.peak)
         steps.append((b, d, tuple((tuple(m), tuple(u)) for m, u in step.groups)))
-    unwritten = tuple((a, e) for a in range(na) for e in range(na) if not written[a][e])
-    return tuple(steps), slots, unwritten
+    return tuple(steps), slots
 
 
 def _sandwich(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -437,16 +427,15 @@ def _sandwich(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     less work.  Rounding is sign-symmetric, so each term is +-(|M[a,b]| *
     X[b,d]) * |M[e,d]|, and subtracting t is adding -t: a product is formed
     once per (b, d), with no multiply by 1, and added to or subtracted from
-    every output it feeds.  Each output's first term is written as 0.0 + t
-    (or 0.0 - t) into np.empty memory.  That is what adding it to +0.0
-    gives, -0.0 included, and it touches each fresh page once, where an
-    accumulator from np.zeros is read before it is written (two page
-    faults a page in a fresh process).  Terms whose M[a,b] is zero are
-    skipped, and so are terms whose M[e,d] is zero outside column d's
-    first-to-last nonzero rows.  That changes no bit: for finite X such a
-    term is +-0.0, and an accumulator that starts at +0.0 never holds
-    -0.0, so adding +-0.0 leaves it unchanged.  That is why X must be
-    finite.  An output no term reaches (a zero row of M) is set to +0.0.
+    every output it feeds.  The accumulator is np.empty memory filled with
+    +0.0 once; the fill writes each fresh page once, where an accumulator
+    from np.zeros is read before it is written (two page faults a page in
+    a fresh process).  Terms whose M[a,b] is zero are skipped, and so are
+    terms whose M[e,d] is zero outside column d's first-to-last nonzero
+    rows.  That changes no bit: for finite X such a term is +-0.0, and an
+    accumulator that starts at +0.0 never holds -0.0, so adding +-0.0
+    leaves it unchanged.  That is why X must be finite.  An output no term
+    reaches (a zero row of M) stays +0.0.
 
     Raises ValueError on any other leading shape of X, on NaN or inf in X,
     and on a result that overflows.
@@ -457,8 +446,9 @@ def _sandwich(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("Winograd transform operand holds non-finite values (NaN or inf)")
     flat = X.reshape(nb, nb, -1)
-    steps, slots, unwritten = _sandwich_program(M.shape, np.ascontiguousarray(M, dtype=float).tobytes())
+    steps, slots = _sandwich_program(M.shape, np.ascontiguousarray(M, dtype=float).tobytes())
     out = np.empty((na, na, flat.shape[2]))
+    out.fill(0.0)  # not np.zeros: see the docstring
     scratch = np.empty((slots, flat.shape[2]))
     with np.errstate(over="ignore", invalid="ignore"):
         for b, d, groups in steps:
@@ -466,11 +456,9 @@ def _sandwich(M: np.ndarray, X: np.ndarray) -> np.ndarray:
             for muls, updates in groups:
                 for coef, src, dst in muls:
                     np.multiply(x if src is None else scratch[src], coef, out=scratch[dst])
-                for op, first, a, e, src in updates:
+                for op, a, e, src in updates:
                     acc = out[a, e]
-                    op(0.0 if first else acc, x if src is None else scratch[src], out=acc)
-    for a, e in unwritten:
-        out[a, e] = 0.0
+                    op(acc, x if src is None else scratch[src], out=acc)
     if not np.isfinite(out).all():
         raise ValueError("Winograd transform overflowed to non-finite values")
     return out.reshape(na, na, *X.shape[2:])

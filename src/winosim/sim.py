@@ -184,29 +184,25 @@ def _fifo_misses(keys: list, capacity: int, cost: list) -> tuple[int, int]:
 
 
 def _run_cluster_schedules(
-    keys, cfg: ArchConfig, nnz: np.ndarray | None = None, collect_steps: bool = False
+    keys, cfg: ArchConfig, nnz: np.ndarray, collect_steps: bool = False
 ) -> list[SimReport]:
-    """Replay the lockstep streams' operand keys through the cluster's FIFOs, once per position.
+    """Replay the lockstep streams' operand keys through the sparse cluster's FIFOs, once per position.
 
-    `nnz` is None for the dense datapath, which yields one report, or a
-    (position, weight code) table of each present weight block's nonzero
-    count, 0 where the block is absent, for the sparse one: only
-    operations on a present weight run, weight misses pass the
-    decompressor and the feature-map FIFO splits into one half-depth FIFO
-    per column group.  The table must span every weight code of the
-    streams.  Returns one report per position.
+    `nnz` is a (position, weight code) table of each present weight
+    block's nonzero count, 0 where the block is absent: only operations on
+    a present weight run, weight misses pass the decompressor and the
+    feature-map FIFO splits into one half-depth FIFO per column group.
+    The table must span every weight code of the streams.  Returns one
+    report per position.
 
     `keys` is engine._operand_keys of the block grid.  Weight blocks are
     keyed by Morton code, feature-map blocks by (row, column) rank: a
     skinny grid's codes spread far wider than its block count.  At every
     step half 0's key lies below half 1's, so each step's distinct
-    ascending keys need no sort.  The dense datapath is priced in closed
-    form (_run_dense_schedule).  For the sparse one, activity and the
-    counts derived from it are built for all positions at once; per
-    position, each buffer's access sequence goes to one list walk.
+    ascending keys need no sort.  Activity and the counts derived from it
+    are built for all positions at once; per position, each buffer's
+    access sequence goes to one list walk.
     """
-    if nnz is None:
-        return [_run_dense_schedule(keys, cfg, collect_steps)]
     issue = cfg.cycles_per_block_matmul_issue
     a, b = keys
     n_col_halves = len(b)
@@ -251,7 +247,7 @@ def _run_cluster_schedules(
 
 
 def _run_dense_schedule(keys, cfg: ArchConfig, collect_steps: bool) -> SimReport:
-    """_run_cluster_schedules on the dense datapath, its counts in closed form from the key shapes.
+    """Replay the operand keys on the dense datapath, its counts in closed form from the key shapes.
 
     Every operation runs, so every step issues all of its row halves times
     column halves, and each buffer walks its whole key sequence in one
@@ -293,7 +289,7 @@ def simulate_cluster_dense(
     U: ZMortonMatrix, V: ZMortonMatrix, cfg: ArchConfig, collect_steps: bool = False
 ) -> SimReport:
     """Price one cluster running U times V; engine.recursive_matmul computes the product."""
-    return _run_cluster_schedules(_operand_keys(*_cluster_grid(U, V, cfg)), cfg, None, collect_steps)[0]
+    return _run_dense_schedule(_operand_keys(*_cluster_grid(U, V, cfg)), cfg, collect_steps)
 
 
 def simulate_cluster_sparse(
@@ -395,10 +391,10 @@ def _simulate_geometry(
     K, C or its tile count beyond their padded block extents, so layers
     that differ only there (and in their transform stages, which
     simulate_layer adds) share one entry.  simulate_layer returns copies,
-    so the memo is never aliased.  All l*l positions replay in one
-    _run_cluster_schedules call; at nonzero sparsity each keeps a prefix
-    of its memoized _survivor_order draw, and at zero sparsity one dense
-    replay stands for every position.
+    so the memo is never aliased.  At nonzero sparsity all l*l positions
+    replay in one _run_cluster_schedules call, each keeping a prefix of
+    its memoized _survivor_order draw; at zero sparsity one dense replay
+    stands for every position.
     """
     l = cfg.l
     keys = _operand_keys(mb, nb, pb)
@@ -416,7 +412,7 @@ def _simulate_geometry(
         reps = _run_cluster_schedules(keys, cfg, nnz)
     else:
         # Every dense position replays the same streams, so one replay serves all l^2.
-        reps = _run_cluster_schedules(keys, cfg) * (l * l)
+        reps = [_run_dense_schedule(keys, cfg, False)] * (l * l)
 
     cluster_cycles = [0] * cfg.clusters
     busy = [0] * (cfg.clusters * 4)

@@ -232,6 +232,15 @@ def test_direct_convolve_rejects_empty_filter_bank(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["direct", "dense", "sparse"])
+def test_convolve_rejects_zero_channel_input(tmp_path, capsys, mode):
+    fm_p, out = tmp_path / "x.tensor", tmp_path / "y.tensor"
+    save_tensor(fm_p, np.zeros((0, 8, 8)))
+    assert run_cli(["convolve", "--mode", mode, "--input", str(fm_p), "--out", str(out)]) == 1
+    assert "filter bank needs K, C >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--m", "--r"])
 def test_dse_has_no_plan_flags(flag):
     # dse takes m from --m-values and r from each layer; `--m` is no prefix of `--m-values`

@@ -414,10 +414,10 @@ def _edge_operand(rng, shape, scale):
 @pytest.mark.parametrize("m, r", [(2, 2), (4, 2), (6, 2), (2, 3), (3, 3), (4, 3), (6, 3), (2, 5), (4, 5)])
 def test_transforms_byte_identical_at_the_edges_of_the_range(m, r, scale):
     # The kernel forms |M[a,b]| * x once per (b, d), multiplies by |M[e,d]| and
-    # adds or subtracts; each output's first term is written as 0.0 +- t.  That is
-    # exact only with sign-symmetric rounding and the +0.0 start: subnormal
-    # operands round at every step (a folded (M[a,b] * M[e,d]) * x shows there),
-    # and runs of +-0.0 make first terms of -0.0.
+    # adds or subtracts into an accumulator filled with +0.0.  That is exact only
+    # with sign-symmetric rounding and the +0.0 start: subnormal operands round
+    # at every step (a folded (M[a,b] * M[e,d]) * x shows there), and runs of
+    # +-0.0 make first terms of -0.0.
     plan = make_plan(m, r)
     l = plan.l
     rng = np.random.default_rng(m * 10 + r)
@@ -440,3 +440,37 @@ def test_transform_outputs_no_term_reaches_are_plus_zero():
     got = _sandwich(M, X)
     assert got.tobytes() == np.einsum("ab,bd...,ed->ae...", M, X, M).tobytes()
     assert not np.signbit(got[1]).any() and not np.signbit(got[:, 1]).any()
+
+
+@pytest.mark.parametrize("stale", [np.nan, -0.0], ids=["nan", "minus-zero"])
+def test_transforms_do_not_read_fresh_memory(monkeypatch, stale):
+    # The accumulator and scratch rows come from np.empty; whatever it holds must not reach a result.
+    from winosim.layout import _sandwich
+
+    rng = np.random.default_rng(11)
+    M = np.array([[0.5, -1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])  # row 1 feeds no term
+    X = _signed_zeros(rng, (3, 3, 4, 5))
+    cases = [(_sandwich, (M, X), np.einsum("ab,bd...,ed->ae...", M, X, M))]
+    for m in (2, 4):
+        plan = make_plan(m, 3)
+        l = plan.l
+        tiles = _signed_zeros(rng, (3, 2, 3, l, l))
+        filters = np.moveaxis(_signed_zeros(rng, (3, 4, 3, 3)), 0, 1)
+        mats = np.moveaxis(_signed_zeros(rng, (3, l, l, 6)), 0, 2)
+        cases += [
+            (transform_tiles, (plan, np.ascontiguousarray(_position_major(tiles))),
+             _position_major(_ref_transform_tiles(plan, tiles))),
+            (_filter_stack, (filters, plan), _ref_filter_stack(filters, plan)),
+            (assemble_output, (mats, plan, 3, 2 * m, 3 * m), _ref_assemble_output(mats, plan, 3, 2 * m, 3 * m)),
+        ]
+
+    empty = np.empty
+
+    def stale_empty(*args, **kwargs):
+        a = empty(*args, **kwargs)
+        a.fill(stale)
+        return a
+
+    monkeypatch.setattr(np, "empty", stale_empty)
+    for transform, args, want in cases:
+        assert _bytes(transform(*args)) == _bytes(want)

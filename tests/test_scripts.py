@@ -8,6 +8,7 @@ import ast
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _env():
+def _env(root=ROOT):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     return env
 
 
@@ -41,12 +42,18 @@ def test_script_runs(tmp_path, script, args):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_benchmark_selftest_passes():
+def test_benchmark_selftest_passes(tmp_path):
     # The benchmark drives the package through names no command uses
-    # (TransformedBatch.at, matmul_trace, simulate_transform, ...).
+    # (TransformedBatch.at, matmul_trace, simulate_transform, ...).  It runs
+    # in a copy: the self-test writes its results under the names a real
+    # run uses, and would overwrite the checkout's perfbench/out/.
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    skip = shutil.ignore_patterns("out", "__pycache__")
+    for tree in ("perfbench", "src"):
+        shutil.copytree(ROOT / tree, tmp_path / tree, ignore=skip)
     proc = subprocess.run(
         [sys.executable, "perfbench/selftest.py"],
-        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=600,
+        cwd=tmp_path, env=_env(tmp_path), capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
 

@@ -25,6 +25,7 @@ from winosim.sim import (
     _ADDITIVE_FIELDS,
     _fifo_misses,
     _run_cluster_schedules,
+    _run_dense_schedule,
     _simulate_geometry,
     _survivor_order,
 )
@@ -199,8 +200,11 @@ def test_cluster_schedule_matches_sort_based_reference(extents, fifo_depth, spar
     streams = matmul_streams(*extents)
     cfg = ArchConfig(fifo_depth=fifo_depth)
     weights = _draw_weights(data, extents) if sparse else None
-    table = None if weights is None else _nnz_table([weights], extents)
-    [got] = _run_cluster_schedules(_operand_keys(*extents), cfg, table, collect_steps=True)
+    keys = _operand_keys(*extents)
+    if weights is None:
+        got = _run_dense_schedule(keys, cfg, collect_steps=True)
+    else:
+        [got] = _run_cluster_schedules(keys, cfg, _nnz_table([weights], extents), collect_steps=True)
     want = _reference_run_cluster_schedule(streams, cfg, weights, collect_steps=True)
     assert got == want
 
@@ -217,9 +221,12 @@ def test_batched_replay_matches_reference_per_position(extents, fifo_depth, data
     cfg = ArchConfig(fifo_depth=fifo_depth)
     n_pos = data.draw(st.integers(1, 36))
     weights = [_draw_weights(data, extents) for _ in range(n_pos)]
-    calls = [(None, [None]), (_nnz_table(weights, extents), weights)]
-    for table, per_position in calls:
-        got = _run_cluster_schedules(_operand_keys(*extents), cfg, table, collect_steps=True)
+    keys = _operand_keys(*extents)
+    calls = [
+        ([_run_dense_schedule(keys, cfg, collect_steps=True)], [None]),
+        (_run_cluster_schedules(keys, cfg, _nnz_table(weights, extents), collect_steps=True), weights),
+    ]
+    for got, per_position in calls:
         assert len(got) == len(per_position)
         for rep, w in zip(got, per_position):
             want = _reference_run_cluster_schedule(streams, cfg, w, collect_steps=True)
