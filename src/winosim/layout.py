@@ -273,169 +273,31 @@ def extract_tiles(fm: np.ndarray, plan: WinogradPlan, pad: int = 0) -> np.ndarra
     return np.ascontiguousarray(win[:, ::m, ::m][:, :th, :tw].transpose(3, 4, 0, 1, 2))
 
 
-# One ufunc call, priced in passes over one n-long operand, when
-# _sandwich_program weighs two ways to feed a column's outputs.
-_CALL_COST = 1.0
-
-
-def _runs(values: list) -> list[tuple[int, int]]:
-    """[start, stop) of each maximal run of equal neighbours in `values`."""
-    edges = [0] + [i for i in range(1, len(values)) if values[i] != values[i - 1]] + [len(values)]
-    return list(zip(edges, edges[1:]))
-
-
-def _index(start: int, stop: int):
-    """start:stop as a basic index; a bare int for one entry, so views keep fewer axes and ufuncs set up faster."""
-    return start if stop - start == 1 else slice(start, stop)
-
-
-class _Step:
-    """Builds the multiplies and signed updates of one (b, d) step of _sandwich_program.
-
-    A product is named by its factors other than 1, in order: () is x =
-    X[b, d] itself, (g,) is g * x and (g, h) is (g * x) * h; each is formed
-    once per step, into one scratch row.  The rows g * x of every |M[a, b]|
-    other than 1 come from one multiply.  A block is one such row times a
-    signed column span of M, k scratch rows, freed when its group is done.
-    An update adds or subtracts one source into a block of outputs of the
-    accumulator, which _sandwich starts at +0.0.
-    """
-
-    def __init__(self, magnitudes: list, coef):
-        self.groups: list = [([], [])]  # (multiplies, updates) per group of rows
-        self.slots = self.peak = 0
-        self.products: dict[tuple, int | None] = {(): None}
-        if magnitudes:
-            rows = self.multiply(coef, len(magnitudes), None)
-            for k, g in enumerate(magnitudes):
-                self.products[(g,)] = rows.start + k if isinstance(rows, slice) else rows
-
-    def group(self) -> None:
-        if self.groups[-1][1]:
-            self.groups.append(([], []))
-
-    def multiply(self, coef, rows: int, src):
-        """coef times the source row into `rows` fresh scratch rows (coef a column when rows > 1)."""
-        dst = self.slots if rows == 1 else slice(self.slots, self.slots + rows)
-        self.slots += rows
-        self.peak = max(self.peak, self.slots)
-        self.groups[-1][0].append((coef, src, dst))
-        return dst
-
-    def product(self, g: float, h: float):
-        key = tuple(f for f in (g, h) if f != 1.0)
-        if key not in self.products:
-            self.products[key] = self.multiply(key[-1], 1, self.products[key[:-1]])
-        return self.products[key]
-
-    def update(self, a0: int, a1: int, e0: int, e1: int, add: bool, src) -> None:
-        """Add or subtract the source into out[a0:a1, e0:e1]."""
-        self.groups[-1][1].append((np.add if add else np.subtract, _index(a0, a1), _index(e0, e1), src))
-
-
-@lru_cache(maxsize=16)
-def _sandwich_program(shape: tuple[int, int], entries: bytes):
-    """The straight-line program _sandwich runs for one matrix M, from M's entries alone.
-
-    Returns (steps, scratch rows).  Each step is (b, d, groups), in
-    row-major (b, d) order; each group is (multiplies, updates) for the
-    rows a of one |M[a, b]|, an update being (np.add or np.subtract,
-    outputs a, outputs e, source).  A step's first multiply
-    forms |M[a, b]| * x for every such magnitude other than 1.  A group
-    then takes the cheaper of two forms, priced in ufunc calls (_CALL_COST
-    each) plus passes over n-long operands:
-
-    - spread: per run of equal M[e, d], one product (|M[a,b]| * x) * |M[e,d]|,
-      added to or subtracted from the run's outputs by broadcast;
-    - block: (|M[a,b]| * x) * M[e, d] over column d's nonzero span in one
-      multiply, added to or subtracted from each run of rows at once.
-
-    Either way each output gets its terms in row-major (b, d) order, each
-    of the magnitude of (M[a,b] * x) * M[e,d] and with its sign.  Zero
-    M[a, b] are skipped, and so are zero M[e, d] outside the span.
-    """
-    nb = shape[1]
-    cols = np.frombuffer(entries).reshape(shape).T.tolist()
-
-    def coefficients(values: list):
-        """values as a multiplier: a scalar for one, else a read-only column (the program shares it)."""
-        if len(values) == 1:
-            return values[0]
-        column = np.array(values)[:, None]
-        column.setflags(write=False)
-        return column
-
-    # per column d: its nonzero span e0:e1, the span as one multiplier, its runs of equal nonzero entries
-    spans = []
-    for col in cols:
-        nonzero = [e for e, v in enumerate(col) if v]
-        e0, e1 = (nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0)
-        runs = [(e0 + c0, e0 + c1, col[e0 + c0]) for c0, c1 in _runs(col[e0:e1]) if col[e0 + c0]]
-        spans.append((e0, e1, coefficients(col[e0:e1]) if runs else None, runs))
-    factors = [{abs(v) for _, _, v in runs} - {1.0} for *_, runs in spans]  # |M[e, d]| other than 1
-    # per column b: each distinct |M[a, b]| with its runs of rows a of equal M[a, b] (True: positive)
-    row_groups = []
-    for col in cols:
-        row_groups.append([])
-        for g in dict.fromkeys(abs(v) for v in col if v):
-            signed = [v if abs(v) == g else 0.0 for v in col]
-            row_groups[-1].append((g, [(r0, r1, signed[r0] > 0) for r0, r1 in _runs(signed) if signed[r0]]))
-    # per column b: the |M[a, b]| other than 1, and them as one multiplier
-    magnitudes = [[g for g, _ in groups if g != 1.0] for groups in row_groups]
-    row_coefs = [coefficients(gs) if gs else None for gs in magnitudes]
-    steps, slots = [], 0
-    for b, d in np.ndindex(nb, nb):
-        e0, e1, column, e_runs = spans[d]
-        if not (e_runs and row_groups[b]):
-            continue
-        width = e1 - e0
-        nnz = sum(c1 - c0 for c0, c1, _ in e_runs)
-        step = _Step(magnitudes[b], row_coefs[b])
-        for g, a_runs in row_groups[b]:
-            rows = sum(r1 - r0 for r0, r1, _ in a_runs)
-            blocked = (_CALL_COST + 1 + width) + len(a_runs) * (_CALL_COST + width) + 2 * rows * width
-            spread = len(a_runs) * len(e_runs) * (_CALL_COST + 1) + 2 * rows * nnz
-            if spread <= blocked:  # then price the products spread forms
-                keys = [(g, h) if g != 1.0 else (h,) for h in factors[d]]
-                spread += sum(key not in step.products for key in keys) * (_CALL_COST + 2)
-            step.group()
-            if spread <= blocked:
-                for c0, c1, beta in e_runs:
-                    src = step.product(g, abs(beta))
-                    for r0, r1, add in a_runs:
-                        step.update(r0, r1, c0, c1, add == (beta > 0), src)
-            else:
-                src = step.multiply(column, width, step.product(g, 1.0))
-                for r0, r1, add in a_runs:
-                    step.update(r0, r1, e0, e1, add, src)
-                step.slots -= width
-        slots = max(slots, step.peak)
-        steps.append((b, d, tuple((tuple(m), tuple(u)) for m, u in step.groups)))
-    return tuple(steps), slots
+def _add_term(acc: np.ndarray, first: bool, coef: float, x: np.ndarray, scratch: np.ndarray) -> None:
+    """acc + coef * x into acc, reading acc as +0.0 when first; unless coef is +-1, |coef| * x goes through scratch."""
+    if abs(coef) != 1.0:
+        x = np.multiply(x, abs(coef), out=scratch)
+    (np.add if coef > 0 else np.subtract)(0.0 if first else acc, x, out=acc)
 
 
 def _sandwich(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M . X . M.T over the two leading axes of X: out[a, e] = sum_bd M[a,b] X[b,d] M[e,d].
+    """M . X . M.T over the two leading axes of X, as two 1-D passes: out[a, e] = sum_d M[e,d] (sum_b M[a,b] X[b,d]).
 
     X has shape (n, n, ...) for an m-by-n M; the result is a contiguous
-    (m, m, ...) array.  The sums run in one fixed order, the one
-    np.einsum("ab,bd...,ed->ae...", M, X, M) takes on contiguous X: each
-    term is (M[a,b] * X[b,d]) * M[e,d], added in row-major (b, d) order to
-    an accumulator that starts at +0.0.
+    (m, m, ...) array.  The sums run in one fixed order, whatever the
+    memory order of X.  For each output row a and column d, y = sum_b
+    M[a,b] * X[b,d] is formed in ascending b; as soon as y is complete,
+    M[e,d] * y is added to every out[a, e], so out[a, e] sums its terms in
+    ascending d.  Every sum starts at +0.0, and y is one reused row.
 
-    The kernel runs _sandwich_program(M), which gives the same bits for
-    less work.  Rounding is sign-symmetric, so each term is +-(|M[a,b]| *
-    X[b,d]) * |M[e,d]|, and subtracting t is adding -t: a product is formed
-    once per (b, d), with no multiply by 1, and added to or subtracted from
-    every output it feeds.  The accumulator is np.empty memory filled with
-    +0.0 once; the fill writes each fresh page once, where an accumulator
-    from np.zeros is read before it is written (two page faults a page in
-    a fresh process).  Terms whose M[a,b] is zero are skipped, and so are
-    terms whose M[e,d] is zero outside column d's first-to-last nonzero
-    rows.  That changes no bit: for finite X such a term is +-0.0, and an
-    accumulator that starts at +0.0 never holds -0.0, so adding +-0.0
-    leaves it unchanged.  That is why X must be finite.  An output no term
-    reaches (a zero row of M) stays +0.0.
+    Rounding to nearest is sign-symmetric, so adding c * x is, bit for
+    bit, adding or subtracting |c| * x, and a coefficient of +-1 needs no
+    multiply.  Zero coefficients are skipped.  That changes no bit: for
+    finite X such a term is +-0.0, and a sum that starts at +0.0 never
+    holds -0.0, so adding +-0.0 leaves it unchanged.  That is why X must
+    be finite.  Each output's first term is written as 0.0 + t, so no
+    output is read before it is written, and an output no term reaches
+    (a zero row of M) keeps np.zeros' +0.0.
 
     Raises ValueError on any other leading shape of X, on NaN or inf in X,
     and on a result that overflows.
@@ -446,19 +308,21 @@ def _sandwich(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("Winograd transform operand holds non-finite values (NaN or inf)")
     flat = X.reshape(nb, nb, -1)
-    steps, slots = _sandwich_program(M.shape, np.ascontiguousarray(M, dtype=float).tobytes())
-    out = np.empty((na, na, flat.shape[2]))
-    out.fill(0.0)  # not np.zeros: see the docstring
-    scratch = np.empty((slots, flat.shape[2]))
+    entries = np.asarray(M, dtype=float).tolist()
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in entries]
+    # per column d: (e, M[e, d], whether d is row e's first nonzero) for each nonzero M[e, d]
+    cols = [[(e, c, rows[e][0][0] == d) for e, c in enumerate(col) if c] for d, col in enumerate(zip(*entries))]
+    out = np.zeros((na, na, flat.shape[2]))
+    y, scratch = np.empty((2, flat.shape[2]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for b, d, groups in steps:
-            x = flat[b, d]
-            for muls, updates in groups:
-                for coef, src, dst in muls:
-                    np.multiply(x if src is None else scratch[src], coef, out=scratch[dst])
-                for op, a, e, src in updates:
-                    acc = out[a, e]
-                    op(acc, x if src is None else scratch[src], out=acc)
+        for a, terms in enumerate(rows):
+            if not terms:
+                continue
+            for d, feeds in enumerate(cols):
+                for k, (b, c) in enumerate(terms):
+                    _add_term(y, k == 0, c, flat[b, d], scratch)
+                for e, c, first in feeds:
+                    _add_term(out[a, e], first, c, y, scratch)
     if not np.isfinite(out).all():
         raise ValueError("Winograd transform overflowed to non-finite values")
     return out.reshape(na, na, *X.shape[2:])
@@ -516,11 +380,12 @@ def _filter_stack(filters: np.ndarray, plan: WinogradPlan) -> np.ndarray:
         raise ValueError(f"filter width {r}x{r2} != plan r={plan.r}")
     if K < 1 or C < 1:
         raise ValueError(f"filter bank needs K, C >= 1, got K={K}, C={C}")
-    # Copied.  _sandwich reads each (K, C) slice two or three times per (b, d)
-    # step; on the transposed view every read strides r*r*8 bytes, a cache line
-    # per element.  Scale-4 VGG16 at m = 2, 2 vCPUs: the copy took 10.1-13.1 ms
-    # in all against 12.0-15.5 ms for the view (warm), 15.5 against 18.7 ms
-    # cold (median of 10 fresh-process passes).
+    # Copied.  _sandwich reads each (K, C) slice once for every nonzero in its
+    # column of G, two or three times; on the transposed view every read
+    # strides r*r*8 bytes, a cache line per element.  Scale-4 VGG16 at m = 2,
+    # 2 vCPUs: the copy took 11.0-11.6 ms in all against 13.5-14.2 ms for the
+    # view (warm, medians of two runs of 30 interleaved rounds), 16.9 against
+    # 21.9 ms cold (median of 10 alternating fresh-process passes).
     position_major = np.ascontiguousarray(filters.transpose(2, 3, 0, 1))
     return _sandwich(plan.G, position_major).reshape(plan.l * plan.l, K, C)
 

@@ -384,11 +384,12 @@ def test_winograd_single_tile_case(plan):
     assert _rel_err(got, want) <= 1e-10
 
 
-def test_winograd_matches_direct_random(plan):
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_winograd_matches_direct_random(m):
     rng = np.random.default_rng(9)
     fm = rng.uniform(-1, 1, (8, 16, 16))
     flt = rng.uniform(-1, 1, (4, 8, 3, 3))
-    got = winograd_conv_dense(fm, flt, plan, pad=1)
+    got = winograd_conv_dense(fm, flt, make_plan(m, 3), pad=1)
     want = direct_conv(fm, flt, pad=1)
     assert _rel_err(got, want) <= 1e-10
 

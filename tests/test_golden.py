@@ -77,28 +77,28 @@ def _sha256(data: bytes) -> str:
         ),
         (
             ["compress", "--k", "64", "--c", "64", "--sparsity", "0.9"],
-            "760658a0472783ce32b7a0fc5da90fbae296a255b0bdfedc732132e7792447b4",
+            "bf79aef6c3b19e6c6f45c1dad0704a44116f314c263fce2abef92cbe0013509e",
         ),
         (
             ["convolve", "--mode", "sparse", "--sparsity", "0.9"],
-            "9189601e6602896afc6736f5a4ae42783d6e4228c9b4af19cf21c0336571de0a",
+            "2a8b354731575e9fb6f18b3ea6f0e3f548651a9633f81b4b7664b5a2f686df66",
         ),
         (
             ["convolve", "--mode", "sparse", "--sparsity", "0.9", "--shape", "64x16x16", "--k", "64"],
-            "d27bc394dfca9f42d17f5b1d0919cad7bba6e8e6bcaf45c2158113a5a36c0575",
+            "0abc9fbc7e5a8a3f3f4c0f1775fb005a9d4426aaf8b9966bf2d12512a5f46dff",
         ),
         (
             ["convolve", "--mode", "dense", "--m", "2"],
-            "d68b619a57b92cdba246727db3539bc7da39b404f0264f444e9976c9dedc030d",
+            "2484b013b334e456ecd6ece2be19ca9c4fa750a3f08111fe75a62bc52f20bed9",
         ),
         (
             ["convolve", "--mode", "dense", "--m", "4", "--shape", "8x18x18", "--k", "8"],
-            "30c09174b1f9d700002b2f414a7cc73487c84edff65f6da813b448b62c23f753",
+            "6c191a983c84672d3a7385426359d40da21c22eb2f71b97db6291f6ec445396d",
         ),
         (
             ["convolve", "--mode", "sparse", "--m", "4", "--sparsity", "0.7", "--shape", "8x18x18",
              "--k", "8"],
-            "97dbb29e1f65f4abcf8371f1ec98d5dc18f0706152c6b5356795b4e062c8fcc9",
+            "80db20865dbf6272c2054e0b063e55c4990ebd346daacebfbea26dbc314aedf1",
         ),
     ],
     ids=["simulate-dense", "simulate-sparse", "dse", "simulate-fifo1", "simulate-fifo1-sparse",
@@ -116,13 +116,13 @@ def test_cli_csv_digest(tmp_path, argv, digest):
 @pytest.mark.parametrize(
     "m, sparsity, digest",
     [
-        (2, 0.0, "0e353192629fed4bbcd9b5aa9591b318654f9149f4738e6884f54579316153b3"),
-        (2, 0.5, "0c18d46e222f7fc9b443f7523eb53f0ac031b5302dc89ab16506a14848d52374"),
-        (2, 0.9, "f5464c2741e575e8e2449cbfb0e0ddba0aa58adbf8c76c30576b5db49a07d72a"),
+        (2, 0.0, "d124376af67f850e421fdf6c0ba788ba28f21c30f1c2af6792a515221f69b46e"),
+        (2, 0.5, "8c91f4edf172fe5b5aa6ab94cb4bd98bc0c5c8c0298a46a1bf2d94327d3051d8"),
+        (2, 0.9, "92c43e0e4dead1fb4ad36b1d9904757ee97a6f0cd310618f0db834ba063ba826"),
         (2, 1.0, "2875de084dd2bbd0d2e8a088523cf00cf2eb3a518469ed3fcbd99cb2849d770c"),
-        (4, 0.0, "87da3d533ab819354aaa1d5c7dca832ca5fce06b53070a67e4c30af8671d6d7f"),
-        (4, 0.5, "169b5c123199f58bf841e82a035004bf43beaef9e61fa1b204052b5bcdf235dd"),
-        (4, 0.9, "0d16482436f862f8a39b4f6213682396a506854453e81b4d787d50d0fa94f968"),
+        (4, 0.0, "60d7815e0a5f0848390f7a483a30bc170ad6b947fdb420263b83a9c44e4693db"),
+        (4, 0.5, "1b972e0fc7bf013946ef0043a7544248829f67a9a224b8d017c1d0d7acdef5a4"),
+        (4, 0.9, "93526b97afbf5f8b661f4fd2c6e77e199d15affa04cf08bfd447c7d74e5e3a26"),
         (4, 1.0, "0f32a5a83b31e93294138682e5e0438e35db749d8477aef94bffe4794e8e63e4"),
     ],
 )
@@ -134,11 +134,11 @@ def test_bcoo_container_digest(m, sparsity, digest):
     "K, C, m, sparsity, digest",
     [
         # 12 = 2 * 6: the l = 6 block grid is 2x2 and needs no padding
-        (12, 12, 4, 0.0, "c50f9fe54497a9e13727483d3b93bae8203d001aae378daaf087208500aee450"),
-        (12, 12, 4, 0.9, "9fb5e686325e2815b08c91a28ee084d83c4e4109cbb34136f15a8dd19553aca4"),
+        (12, 12, 4, 0.0, "5cadb07369b88a2e614a844dd68c10b59392af87c1034fe2c81f6b531447ed18"),
+        (12, 12, 4, 0.9, "923da4c9d65b8452f1d81120c9c30a16f452182bf98c8b52ac1dee87b00e5184"),
         # a 10x6 grid of l = 4 blocks, padded to 16x8
-        (37, 21, 2, 0.0, "40cc22f3f5b929a32d8848ea36cf341ce7a441bd741b1cb7205b0d028c03559b"),
-        (37, 21, 2, 0.9, "eb7ada186a80b7d7c71fcfa20ce46be2e9a375d53e7c9d50bb892d751a9e4205"),
+        (37, 21, 2, 0.0, "510a48da1140e356fc66640d84f126364cf6d64235b14b523197a49624d5bda0"),
+        (37, 21, 2, 0.9, "6f0e88e3a9562908df1c310086d25f2de53f3548ddc1cb7ee5f1389ad9915c02"),
     ],
 )
 def test_bcoo_container_digest_of_grid_shape(K, C, m, sparsity, digest):

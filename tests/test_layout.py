@@ -278,8 +278,31 @@ def test_zmorton_zeros_refuses_oversized_grid():
         zmorton_zeros(20000, 32768, 1)
 
 
-# Tile-major references: the same transforms with each tile's (l, l) or (r, r)
-# axes innermost in memory.  Each stage must reproduce them byte for byte.
+# References for the three transform stages, over tile-major stacks: each
+# tile's (l, l) or (r, r) axes innermost in memory.  The _ref_ forms sum in
+# the nested order of _sandwich, every term multiplied, and each stage must
+# reproduce them byte for byte; the _einsum_ forms sum in einsum's order and
+# are tolerance references.
+
+
+def _nested(M, X):
+    """M . X . M.T over X's two leading axes as two 1-D passes, with plain loops and every term multiplied."""
+    na, nb = M.shape
+    out = np.zeros((na, na) + X.shape[2:])
+    for a in range(na):
+        for d in range(nb):
+            y = np.zeros(X.shape[2:])
+            for b in range(nb):
+                y = y + M[a, b] * X[b, d]
+            for e in range(na):
+                out[a, e] = out[a, e] + M[e, d] * y
+    return out
+
+
+def _assert_near(got, want, M, X):
+    """got within two summation orders' rounding of want: 64 eps of max(|M| |X| |M|.T), plus 64 subnormal steps."""
+    scale = np.abs(M).sum(axis=1).max() ** 2 * np.abs(X).max()
+    np.testing.assert_allclose(got, want, rtol=0, atol=64 * np.finfo(float).eps * scale + 64 * 2.0**-1074)
 
 
 def _ref_extract_tiles(fm, plan, pad):
@@ -293,20 +316,38 @@ def _ref_extract_tiles(fm, plan, pad):
 
 
 def _ref_transform_tiles(plan, tiles):
+    got = _nested(plan.Bt, np.moveaxis(tiles, (-2, -1), (0, 1)))
+    return np.ascontiguousarray(np.moveaxis(got, (0, 1), (-2, -1)))
+
+
+def _einsum_transform_tiles(plan, tiles):
     return np.einsum("ab,...bd,ed->...ae", plan.Bt, tiles, plan.Bt)
 
 
 def _ref_filter_stack(filters, plan):
     K, C = filters.shape[:2]
+    return _nested(plan.G, filters.transpose(2, 3, 0, 1)).reshape(plan.l**2, K, C)
+
+
+def _einsum_filter_stack(filters, plan):
+    K, C = filters.shape[:2]
     return np.einsum("ab,kcbd,ed->aekc", plan.G, filters, plan.G).reshape(plan.l**2, K, C)
 
 
-def _ref_assemble_output(mats, plan, K, out_h, out_w):
+def _output_from_tiles(tiles, plan, K, out_h, out_w):
+    """Inverse-transformed (K, P, m, m) tiles laid out as the (K, out_h, out_w) map."""
     m = plan.m
     th, tw = _tile_counts(out_h, out_w, m)
-    tiles = np.einsum("ab,bdkp,ed->kpae", plan.At, mats, plan.At)
     tiles = tiles.reshape(K, th, tw, m, m).transpose(0, 1, 3, 2, 4)
     return np.ascontiguousarray(tiles.reshape(K, th * m, tw * m)[:, :out_h, :out_w])
+
+
+def _ref_assemble_output(mats, plan, K, out_h, out_w):
+    return _output_from_tiles(_nested(plan.At, mats).transpose(2, 3, 0, 1), plan, K, out_h, out_w)
+
+
+def _einsum_assemble_output(mats, plan, K, out_h, out_w):
+    return _output_from_tiles(np.einsum("ab,bdkp,ed->kpae", plan.At, mats, plan.At), plan, K, out_h, out_w)
 
 
 def _bytes(a):
@@ -356,18 +397,22 @@ def test_transforms_byte_identical_to_tile_major_references(m, C, K, H, W, pad, 
 
     # Every memory order of the same tiles gives the bytes of the C-contiguous reference.
     want = _ref_transform_tiles(plan, ref_tiles)
+    _assert_near(want, _einsum_transform_tiles(plan, ref_tiles), plan.Bt, ref_tiles)
     for source in (tiles, _position_major(ref_tiles), np.asfortranarray(_position_major(ref_tiles))):
         got = transform_tiles(plan, source)
         assert _tile_major(got).shape == want.shape and _bytes(_tile_major(got)) == _bytes(want)
         assert got.flags.c_contiguous
 
     want = _ref_filter_stack(filters, plan)
+    _assert_near(want, _einsum_filter_stack(filters, plan), plan.G, filters)
     for source in (filters, _position_major_view(filters), np.asfortranarray(filters)):
         assert _bytes(_filter_stack(source, plan)) == want.tobytes()
 
     th, tw = ref_tiles.shape[1:3]
     mats = rng.uniform(-1, 1, (l, l, K, th * tw))
     tile_major = np.ascontiguousarray(np.moveaxis(mats, (0, 1), (-2, -1)))
+    _assert_near(_ref_assemble_output(mats, plan, K, out_h, out_w),
+                 _einsum_assemble_output(mats, plan, K, out_h, out_w), plan.At, mats)
     for source in (mats, np.moveaxis(tile_major, (-2, -1), (0, 1))):
         want = _ref_assemble_output(source, plan, K, out_h, out_w)
         assert assemble_output(source, plan, K, out_h, out_w).tobytes() == want.tobytes()
@@ -392,11 +437,15 @@ def test_zero_skipping_transforms_keep_the_sign_of_zero(m):
     tiles = _signed_zeros(rng, (3, 2, 3, l, l))
     got = transform_tiles(plan, np.ascontiguousarray(_position_major(tiles)))
     assert _bytes(_tile_major(got)) == _ref_transform_tiles(plan, tiles).tobytes()
+    _assert_near(_tile_major(got), _einsum_transform_tiles(plan, tiles), plan.Bt, tiles)
     filters = np.moveaxis(_signed_zeros(rng, (3, 4, 3, 3)), 0, 1)  # all-zero input channels
-    assert _filter_stack(filters, plan).tobytes() == _ref_filter_stack(filters, plan).tobytes()
+    got = _filter_stack(filters, plan)
+    assert got.tobytes() == _ref_filter_stack(filters, plan).tobytes()
+    _assert_near(got, _einsum_filter_stack(filters, plan), plan.G, filters)
     mats = np.moveaxis(_signed_zeros(rng, (3, l, l, 6)), 0, 2)  # all-zero output channels
     got = assemble_output(mats, plan, 3, 2 * m, 3 * m)
     assert got.tobytes() == _ref_assemble_output(mats, plan, 3, 2 * m, 3 * m).tobytes()
+    _assert_near(got, _einsum_assemble_output(mats, plan, 3, 2 * m, 3 * m), plan.At, mats)
     assert np.signbit(got[:2]).sum() == 0  # a sum that starts at +0.0 never ends at -0.0
 
 
@@ -413,22 +462,25 @@ def _edge_operand(rng, shape, scale):
 @pytest.mark.parametrize("scale", [1.0, 2.0**-1060, 1e290], ids=["unit", "subnormal", "near-overflow"])
 @pytest.mark.parametrize("m, r", [(2, 2), (4, 2), (6, 2), (2, 3), (3, 3), (4, 3), (6, 3), (2, 5), (4, 5)])
 def test_transforms_byte_identical_at_the_edges_of_the_range(m, r, scale):
-    # The kernel forms |M[a,b]| * x once per (b, d), multiplies by |M[e,d]| and
-    # adds or subtracts into an accumulator filled with +0.0.  That is exact only
-    # with sign-symmetric rounding and the +0.0 start: subnormal operands round
-    # at every step (a folded (M[a,b] * M[e,d]) * x shows there), and runs of
-    # +-0.0 make first terms of -0.0.
+    # The kernel forms |c| * x, adds or subtracts it, and writes each sum's first
+    # term as 0.0 + t.  That is exact only with sign-symmetric rounding and the
+    # +0.0 start: subnormal operands round at every step (folded coefficients
+    # or a changed order show there), and runs of +-0.0 make first terms of -0.0.
     plan = make_plan(m, r)
     l = plan.l
     rng = np.random.default_rng(m * 10 + r)
     tiles = _edge_operand(rng, (3, 2, 3, l, l), scale)
     got = transform_tiles(plan, np.ascontiguousarray(_position_major(tiles)))
     assert _bytes(_tile_major(got)) == _ref_transform_tiles(plan, tiles).tobytes()
+    _assert_near(_tile_major(got), _einsum_transform_tiles(plan, tiles), plan.Bt, tiles)
     filters = _edge_operand(rng, (4, 3, r, r), scale)
-    assert _filter_stack(filters, plan).tobytes() == _ref_filter_stack(filters, plan).tobytes()
+    got = _filter_stack(filters, plan)
+    assert got.tobytes() == _ref_filter_stack(filters, plan).tobytes()
+    _assert_near(got, _einsum_filter_stack(filters, plan), plan.G, filters)
     mats = np.moveaxis(_edge_operand(rng, (3, 6, l, l), scale), (2, 3), (0, 1))
     got = assemble_output(mats, plan, 3, 2 * m - 1, 3 * m)
     assert got.tobytes() == _ref_assemble_output(mats, plan, 3, 2 * m - 1, 3 * m).tobytes()
+    _assert_near(got, _einsum_assemble_output(mats, plan, 3, 2 * m - 1, 3 * m), plan.At, mats)
 
 
 def test_transform_outputs_no_term_reaches_are_plus_zero():
@@ -438,19 +490,20 @@ def test_transform_outputs_no_term_reaches_are_plus_zero():
     M = np.array([[0.5, -1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
     X = _signed_zeros(np.random.default_rng(9), (3, 3, 4, 5))
     got = _sandwich(M, X)
-    assert got.tobytes() == np.einsum("ab,bd...,ed->ae...", M, X, M).tobytes()
+    assert got.tobytes() == _nested(M, X).tobytes()
+    _assert_near(got, np.einsum("ab,bd...,ed->ae...", M, X, M), M, X)
     assert not np.signbit(got[1]).any() and not np.signbit(got[:, 1]).any()
 
 
 @pytest.mark.parametrize("stale", [np.nan, -0.0], ids=["nan", "minus-zero"])
 def test_transforms_do_not_read_fresh_memory(monkeypatch, stale):
-    # The accumulator and scratch rows come from np.empty; whatever it holds must not reach a result.
+    # The row buffers come from np.empty; whatever it holds must not reach a result.
     from winosim.layout import _sandwich
 
     rng = np.random.default_rng(11)
     M = np.array([[0.5, -1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])  # row 1 feeds no term
     X = _signed_zeros(rng, (3, 3, 4, 5))
-    cases = [(_sandwich, (M, X), np.einsum("ab,bd...,ed->ae...", M, X, M))]
+    cases = [(_sandwich, (M, X), _nested(M, X))]
     for m in (2, 4):
         plan = make_plan(m, 3)
         l = plan.l
