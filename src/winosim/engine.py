@@ -209,22 +209,27 @@ def matmul_streams(mb: int, nb: int, pb: int) -> tuple[MatmulStream, ...]:
     )
 
 
+def _quadrant_split(mb: int, nb: int, pb: int) -> tuple[list, list, list]:
+    """_order_bits(mb, nb, pb) as (top row bit, top column bit, the rest); a quadrant bit is absent at extent 1."""
+    order = _order_bits(mb, nb, pb)
+    n_row_q, n_quadrant = int(mb > 1), (mb > 1) + (pb > 1)
+    return order[:n_row_q], order[n_row_q:n_quadrant], order[n_quadrant:]
+
+
 @lru_cache(maxsize=64)
 def _operand_keys(mb: int, nb: int, pb: int) -> tuple[np.ndarray, np.ndarray]:
-    """What a cluster replay reads of matmul_streams(mb, nb, pb), as (a, b); read-only.
+    """What a sparse cluster replay reads of matmul_streams(mb, nb, pb), as (a, b); read-only.
 
     a[step, row half] is the weight block's Morton code, which a row
     half's streams share; b[col half, step] is the feature-map block's
     (inner * pb + column) rank, which a column half's streams share.  The
     quadrant bit a key varies with is placed last (a) or first (b).
     """
-    order = _order_bits(mb, nb, pb)
-    n_row_q, n_quadrant = int(mb > 1), (mb > 1) + (pb > 1)
-    row_q, col_q, rest = order[:n_row_q], order[n_row_q:n_quadrant], order[n_quadrant:]
+    row_q, col_q, rest = _quadrant_split(mb, nb, pb)
     a = _placed(rest + row_q, _morton_weight(_ROW, _INNER), np.uint32)
     rank = {_INNER: pb, _COL: 1}  # inner * pb + column
     b = _placed(col_q + rest, lambda dim, bit: rank.get(dim, 0) << bit, np.uint32)
-    return a.reshape(-1, 1 << n_row_q), b.reshape(1 << len(col_q), -1)
+    return a.reshape(-1, 1 << len(row_q)), b.reshape(1 << len(col_q), -1)
 
 
 @lru_cache(maxsize=64)
@@ -236,13 +241,11 @@ def matmul_trace(mb: int, nb: int, pb: int) -> tuple[np.ndarray, np.ndarray, np.
     the order block memory is visited: the quadrant bits move from the top
     of the counter to just above its trailing run of inner bits.
     """
-    order = _order_bits(mb, nb, pb)
-    n_quadrant = (mb > 1) + (pb > 1)
-    rest = order[n_quadrant:]
+    row_q, col_q, rest = _quadrant_split(mb, nb, pb)
     split = len(rest)
     while split and rest[split - 1][0] == _INNER:
         split -= 1
-    return _schedule_codes(rest[:split] + order[:n_quadrant] + rest[split:])
+    return _schedule_codes(rest[:split] + row_q + col_q + rest[split:])
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +426,9 @@ def winograd_conv_sparse(
     _, C = _check_records(u_sparse, plan.l)
     fm = _input_of(fm, C)
     U = _decode_stack(u_sparse)
-    nnz = np.count_nonzero(U)
-    rows_hit = np.count_nonzero(U.any(axis=2))
+    nnz = rows_hit = 0  # two passes over the stack that only the counters read
+    if counters is not None:
+        nnz, rows_hit = np.count_nonzero(U), np.count_nonzero(U.any(axis=2))
     return _winograd_conv(fm, U, plan, pad, counters, nnz, rows_hit)
 
 

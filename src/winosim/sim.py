@@ -30,7 +30,10 @@ that stage on exactly those and adds the two transform stages, which
 scale with C and K times the tile count, outside the memo: `simulate`
 and `dse` replay a repeated block grid once, even across layers of
 different tile counts.  The dense datapath is priced in closed form
-from the schedule's shape, its two FIFO walks aside.  A sparse grid's
+from the schedule's shape, its two FIFOs included: each access
+sequence is one binary operation counter whose bits either name the
+block or repeat, and a memoized recursion over those bits counts its
+misses exactly without walking it.  A sparse grid's
 l*l positions share one stream schedule and are replayed in one batched
 pass: their weight tables, activity masks and the counts derived from
 them are built together, and per position each buffer runs one
@@ -48,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bcoo import BcooMatrix
-from .engine import LayerSpec, _block_grid, _operand_keys
+from .engine import _COL, _ROW, LayerSpec, _block_grid, _operand_keys, _quadrant_split
 from .layout import ZMortonMatrix, _block_extent, _grid_codes
 from .plans import WinogradPlan
 
@@ -183,6 +186,61 @@ def _fifo_misses(keys: list, capacity: int, cost: list) -> tuple[int, int]:
     return evicted + capacity, total
 
 
+def _window(slots, base: int, size: int) -> tuple:
+    """The slots of keys base..base+size-1, renumbered from 0, others -1, cut after the last kept."""
+    held = [k - base if base <= k < base + size else -1 for k in slots]
+    while held and held[-1] < 0:
+        held.pop()
+    return tuple(held)
+
+
+def _counter_misses(keyed: list, capacity: int) -> int:
+    """Misses of one FIFO-replacement buffer of `capacity` >= 1 slots walking a binary operation counter.
+
+    keyed[i] says whether counter bit i, most significant first, names the
+    key; the other bits repeat.  A counter value's key is its keyed bits,
+    so the walk of bits i.. is the walk of bits i+1.. twice: on the keys
+    whose bit i is 0 and then on those where it is 1, or twice on the
+    same keys.  FIFO replacement is not a stack algorithm, so no
+    reuse-distance count applies; the count recurses over the bits.
+
+    - A walk sees the buffer only through the slots that hold its own
+      keys.  `state` lists the slots newest first, each holding a key
+      renumbered from 0 within the walk or -1 for another's key, and ends
+      at the last slot of its own.
+    - Only misses insert, so a walk of M misses leaves its last
+      min(M, capacity) inserted keys, newest first, then its entry slots
+      moved M places on.  `walk` returns M and those keys.
+    - A walk whose keys all fit and are all absent misses each key once,
+      at its first access, where its repeat bits are 0: in key order.  A
+      walk of one key, held on entry, never misses.
+
+    The memo of (bit, state) lives for one call.
+    """
+    distinct = [1]  # distinct[i]: keys of the walk of bits i..
+    for bit in reversed(keyed):
+        distinct.append(distinct[-1] << bit)
+    distinct.reverse()
+    memo = {}
+
+    def walk(i: int, state: tuple) -> tuple[int, tuple]:
+        d = distinct[i]
+        if not state and d <= capacity:
+            return d, tuple(range(d - 1, -1, -1))
+        if d == 1:
+            return 0, ()
+        got = memo.get((i, state))
+        if got is None:
+            size = distinct[i + 1]
+            base = size if keyed[i] else 0  # where the second walk's keys start
+            m0, new0 = walk(i + 1, _window(state, 0, size))
+            m1, new1 = walk(i + 1, _window(new0 + state[: max(0, capacity - m0)], base, size))
+            got = memo[i, state] = m0 + m1, (tuple([k + base for k in new1]) + new0)[:capacity]
+        return got
+
+    return walk(0, ())[0]
+
+
 def _run_cluster_schedules(
     keys, cfg: ArchConfig, nnz: np.ndarray, collect_steps: bool = False
 ) -> list[SimReport]:
@@ -246,21 +304,28 @@ def _run_cluster_schedules(
     return reps
 
 
-def _run_dense_schedule(keys, cfg: ArchConfig, collect_steps: bool) -> SimReport:
-    """Replay the operand keys on the dense datapath, its counts in closed form from the key shapes.
+def _run_dense_schedule(grid, cfg: ArchConfig, collect_steps: bool) -> SimReport:
+    """Price the padded (mb, nb, pb) block grid on the dense datapath, all in closed form.
 
     Every operation runs, so every step issues all of its row halves times
-    column halves, and each buffer walks its whole key sequence in one
-    shared FIFO with no decompressor to charge.
+    column halves, and each buffer sees its whole access sequence in one
+    shared FIFO with no decompressor to charge.  Each sequence is the
+    operation counter with one quadrant bit moved last (engine._operand_keys):
+    the weights' is `rest + row_q`, whose row and inner bits name the block
+    and whose column bits repeat; the feature map's is `rest + col_q`,
+    whose inner and column bits name the block and whose row bits repeat.
+    _counter_misses counts each one's misses without walking it.
     """
-    a, b = keys
-    n_steps, n_row_halves = a.shape
-    n_arrays = n_row_halves * len(b)
+    mb, nb, pb = grid
+    row_q, col_q, rest = _quadrant_split(mb, nb, pb)
+    n_row_halves, n_col_halves = 1 << len(row_q), 1 << len(col_q)
+    n_arrays = n_row_halves * n_col_halves
+    n_steps = mb * nb * pb // n_arrays
     compute = n_steps * cfg.cycles_per_block_matmul_issue
     macs = n_arrays * n_steps
     misses = sum(
-        _fifo_misses(seq.tolist(), cfg.fifo_depth, [0] * (int(seq.max()) + 1))[0]
-        for seq in (a.ravel(), b.T.ravel())
+        _counter_misses([dim != repeat for dim, _ in bits], cfg.fifo_depth)
+        for bits, repeat in ((rest + row_q, _COL), (rest + col_q, _ROW))
     )
     total = cfg.pipeline_fill + compute
     rep = SimReport(
@@ -274,7 +339,7 @@ def _run_dense_schedule(keys, cfg: ArchConfig, collect_steps: bool) -> SimReport
     )
     if collect_steps:
         rep.step_slots = [2 * n_arrays] * n_steps
-        rep.step_distinct = [n_row_halves + len(b)] * n_steps
+        rep.step_distinct = [n_row_halves + n_col_halves] * n_steps
     return rep
 
 
@@ -289,7 +354,7 @@ def simulate_cluster_dense(
     U: ZMortonMatrix, V: ZMortonMatrix, cfg: ArchConfig, collect_steps: bool = False
 ) -> SimReport:
     """Price one cluster running U times V; engine.recursive_matmul computes the product."""
-    return _run_dense_schedule(_operand_keys(*_cluster_grid(U, V, cfg)), cfg, collect_steps)
+    return _run_dense_schedule(_cluster_grid(U, V, cfg), cfg, collect_steps)
 
 
 def simulate_cluster_sparse(
@@ -393,12 +458,10 @@ def _simulate_geometry(
     simulate_layer adds) share one entry.  simulate_layer returns copies,
     so the memo is never aliased.  At nonzero sparsity all l*l positions
     replay in one _run_cluster_schedules call, each keeping a prefix of
-    its memoized _survivor_order draw; at zero sparsity one dense replay
+    its memoized _survivor_order draw; at zero sparsity one dense pricing
     stands for every position.
     """
     l = cfg.l
-    keys = _operand_keys(mb, nb, pb)
-
     if sparsity > 0.0:
         # Each position keeps the most durable blocks of its draw; survivor
         # sets nest as sparsity grows.
@@ -409,10 +472,10 @@ def _simulate_geometry(
         block_nnz = _synthetic_block_nnz(l, sparsity)
         nnz = np.zeros((l * l, grid_codes[-1] + 1), dtype=np.min_scalar_type(block_nnz))
         nnz[np.arange(l * l)[:, None], grid_codes[orders]] = block_nnz
-        reps = _run_cluster_schedules(keys, cfg, nnz)
+        reps = _run_cluster_schedules(_operand_keys(mb, nb, pb), cfg, nnz)
     else:
-        # Every dense position replays the same streams, so one replay serves all l^2.
-        reps = [_run_dense_schedule(keys, cfg, False)] * (l * l)
+        # Every dense position runs the same streams, so one pricing serves all l^2.
+        reps = [_run_dense_schedule((mb, nb, pb), cfg, False)] * (l * l)
 
     cluster_cycles = [0] * cfg.clusters
     busy = [0] * (cfg.clusters * 4)

@@ -113,9 +113,14 @@ def test_cli_csv_digest(tmp_path, argv, digest):
     assert _sha256(out.read_bytes()) == digest
 
 
-@pytest.mark.parametrize(
-    "m, sparsity, digest",
-    [
+def _container_ids(cases):
+    """Test ids of (K, C, m, sparsity, digest) cases, which leave out the digest a re-pin changes."""
+    return [f"K{K}-C{C}-m{m}-s{sparsity}" for K, C, m, sparsity, _ in cases]
+
+
+_SMALL_CONTAINERS = [
+    (6, 5, m, sparsity, digest)
+    for m, sparsity, digest in [
         (2, 0.0, "d124376af67f850e421fdf6c0ba788ba28f21c30f1c2af6792a515221f69b46e"),
         (2, 0.5, "8c91f4edf172fe5b5aa6ab94cb4bd98bc0c5c8c0298a46a1bf2d94327d3051d8"),
         (2, 0.9, "92c43e0e4dead1fb4ad36b1d9904757ee97a6f0cd310618f0db834ba063ba826"),
@@ -124,22 +129,29 @@ def test_cli_csv_digest(tmp_path, argv, digest):
         (4, 0.5, "1b972e0fc7bf013946ef0043a7544248829f67a9a224b8d017c1d0d7acdef5a4"),
         (4, 0.9, "93526b97afbf5f8b661f4fd2c6e77e199d15affa04cf08bfd447c7d74e5e3a26"),
         (4, 1.0, "0f32a5a83b31e93294138682e5e0438e35db749d8477aef94bffe4794e8e63e4"),
-    ],
-)
-def test_bcoo_container_digest(m, sparsity, digest):
-    _check_container_digest(6, 5, m, sparsity, digest)
+    ]
+]
 
 
 @pytest.mark.parametrize(
-    "K, C, m, sparsity, digest",
-    [
-        # 12 = 2 * 6: the l = 6 block grid is 2x2 and needs no padding
-        (12, 12, 4, 0.0, "5cadb07369b88a2e614a844dd68c10b59392af87c1034fe2c81f6b531447ed18"),
-        (12, 12, 4, 0.9, "923da4c9d65b8452f1d81120c9c30a16f452182bf98c8b52ac1dee87b00e5184"),
-        # a 10x6 grid of l = 4 blocks, padded to 16x8
-        (37, 21, 2, 0.0, "510a48da1140e356fc66640d84f126364cf6d64235b14b523197a49624d5bda0"),
-        (37, 21, 2, 0.9, "6f0e88e3a9562908df1c310086d25f2de53f3548ddc1cb7ee5f1389ad9915c02"),
-    ],
+    "K, C, m, sparsity, digest", _SMALL_CONTAINERS, ids=_container_ids(_SMALL_CONTAINERS)
+)
+def test_bcoo_container_digest(K, C, m, sparsity, digest):
+    _check_container_digest(K, C, m, sparsity, digest)
+
+
+_GRID_SHAPE_CONTAINERS = [
+    # 12 = 2 * 6: the l = 6 block grid is 2x2 and needs no padding
+    (12, 12, 4, 0.0, "5cadb07369b88a2e614a844dd68c10b59392af87c1034fe2c81f6b531447ed18"),
+    (12, 12, 4, 0.9, "923da4c9d65b8452f1d81120c9c30a16f452182bf98c8b52ac1dee87b00e5184"),
+    # a 10x6 grid of l = 4 blocks, padded to 16x8
+    (37, 21, 2, 0.0, "510a48da1140e356fc66640d84f126364cf6d64235b14b523197a49624d5bda0"),
+    (37, 21, 2, 0.9, "6f0e88e3a9562908df1c310086d25f2de53f3548ddc1cb7ee5f1389ad9915c02"),
+]
+
+
+@pytest.mark.parametrize(
+    "K, C, m, sparsity, digest", _GRID_SHAPE_CONTAINERS, ids=_container_ids(_GRID_SHAPE_CONTAINERS)
 )
 def test_bcoo_container_digest_of_grid_shape(K, C, m, sparsity, digest):
     _check_container_digest(K, C, m, sparsity, digest)

@@ -23,6 +23,7 @@ from winosim.sim import (
 )
 from winosim.sim import (
     _ADDITIVE_FIELDS,
+    _counter_misses,
     _fifo_misses,
     _run_cluster_schedules,
     _run_dense_schedule,
@@ -82,6 +83,26 @@ def test_fifo_misses_without_capacity_misses_every_access(keys):
     # the half-depth feature-map FIFOs at fifo_depth 1 hold nothing
     cost = list(range(1, 14))
     assert _fifo_misses(keys, 0, cost) == (len(keys), sum(cost[key] for key in keys))
+
+
+def _counter_sequence(keyed):
+    """The key of every counter value: its keyed bits, most significant first."""
+    n = len(keyed)
+    counter = np.arange(1 << n)
+    keys = np.zeros_like(counter)
+    for i, bit in enumerate(keyed):
+        if bit:
+            keys = keys << 1 | (counter >> (n - 1 - i)) & 1
+    return keys.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed=st.lists(st.booleans(), max_size=12), data=st.data())
+def test_counter_misses_matches_fifo_walk(keyed, data):
+    seq = _counter_sequence(keyed)
+    # small capacities, and capacities up to past the sequence length
+    capacity = data.draw(st.one_of(st.integers(1, 8), st.integers(1, len(seq) + 2)))
+    assert _counter_misses(keyed, capacity) == _fifo_misses(seq, capacity, [0] * len(seq))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +213,8 @@ def _nnz_table(weights, extents):
 @settings(max_examples=200, deadline=None)
 @given(
     extents=st.tuples(_POW2, _POW2, _POW2),
-    fifo_depth=st.integers(1, 5),
+    # up to past twice the 256 distinct blocks of an operand: the half-depth sparse FIFOs hold them all too
+    fifo_depth=st.one_of(st.integers(1, 5), st.integers(6, 1 << 10)),
     sparse=st.booleans(),
     data=st.data(),
 )
@@ -200,10 +222,10 @@ def test_cluster_schedule_matches_sort_based_reference(extents, fifo_depth, spar
     streams = matmul_streams(*extents)
     cfg = ArchConfig(fifo_depth=fifo_depth)
     weights = _draw_weights(data, extents) if sparse else None
-    keys = _operand_keys(*extents)
     if weights is None:
-        got = _run_dense_schedule(keys, cfg, collect_steps=True)
+        got = _run_dense_schedule(extents, cfg, collect_steps=True)
     else:
+        keys = _operand_keys(*extents)
         [got] = _run_cluster_schedules(keys, cfg, _nnz_table([weights], extents), collect_steps=True)
     want = _reference_run_cluster_schedule(streams, cfg, weights, collect_steps=True)
     assert got == want
@@ -223,7 +245,7 @@ def test_batched_replay_matches_reference_per_position(extents, fifo_depth, data
     weights = [_draw_weights(data, extents) for _ in range(n_pos)]
     keys = _operand_keys(*extents)
     calls = [
-        ([_run_dense_schedule(keys, cfg, collect_steps=True)], [None]),
+        ([_run_dense_schedule(extents, cfg, collect_steps=True)], [None]),
         (_run_cluster_schedules(keys, cfg, _nnz_table(weights, extents), collect_steps=True), weights),
     ]
     for got, per_position in calls:
@@ -232,6 +254,28 @@ def test_batched_replay_matches_reference_per_position(extents, fifo_depth, data
             want = _reference_run_cluster_schedule(streams, cfg, w, collect_steps=True)
             for f in dataclasses.fields(SimReport):
                 assert getattr(rep, f.name) == getattr(want, f.name), f.name
+
+
+@settings(max_examples=50, deadline=None)
+@given(extents=st.tuples(_POW2, _POW2, st.sampled_from([1, 4, 64, 1024])), data=st.data())
+def test_dense_fifo_holding_every_block_fetches_each_once(extents, data):
+    mb, nb, pb = extents
+    blocks = mb * nb + nb * pb  # distinct weight blocks plus distinct feature-map blocks
+    deepest = max(mb * nb, nb * pb)
+    fifo_depth = data.draw(st.one_of(st.integers(deepest, 2 * deepest), st.just(1 << 20)))
+    rep = _run_dense_schedule(extents, ArchConfig(fifo_depth=fifo_depth), collect_steps=False)
+    assert rep.external_block_fetches == blocks
+
+
+@pytest.mark.parametrize(
+    "fifo_depth, fetches",
+    [(2, 141132800), (8, 114999552), (32, 76865792), (128, 55734528)],
+)
+def test_vgg16_dense_fetches_at_fifo_depths(plan, fifo_depth, fetches):
+    # full-size VGG16 at m = 2, summed over the conv layers; the FIFO walk gave these totals
+    cfg = ArchConfig(fifo_depth=fifo_depth)
+    layers = vgg16_spec().conv_layers()
+    assert sum(simulate_layer(layer, plan, cfg).external_block_fetches for layer in layers) == fetches
 
 
 # ---------------------------------------------------------------------------
