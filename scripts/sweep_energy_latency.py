@@ -6,7 +6,7 @@ minimises total modelled energy under both transform-add variants.
 Use --scale for a quick look: each sparse point simulates all l^2
 positions, so the full-size sweep (--scale 1, the five default
 sparsities) takes 11-14 s where a full-size dense `winosim simulate`
-takes 0.8-1.1 s (wall time on a 2-vCPU VM).
+takes 0.14-0.17 s (wall time on a 2-vCPU VM).
 """
 
 import argparse

@@ -147,6 +147,8 @@ def _check_record(u: BcooMatrix) -> None:
             raise BcooFormatError(f"{name} entry outside [0, l)")
     if not an.all():
         raise BcooFormatError("AN stores an explicit zero")
+    if not np.isfinite(an).all():
+        raise BcooFormatError("AN holds a non-finite value")
     row, col = (coord.repeat(counts) for coord in _morton_decode_array(bn))  # block row and column
     # row * l + ai < rows, rearranged so that it cannot overflow int64
     if ((row > (rows - 1 - ai) // l) | (col > (cols - 1 - aj) // l)).any():
@@ -177,8 +179,8 @@ def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
     """Compress a Z-Morton matrix; blocks appear in ascending Morton order.
 
     ValueError unless zm's blocks fill its grid; BcooFormatError if its
-    shape breaks the header rule or a nonzero lies in the padding outside
-    its rows-by-cols matrix.
+    shape breaks the header rule, a nonzero lies in the padding outside
+    its rows-by-cols matrix or a value is NaN or infinite.
     """
     _check_header(zm.rows, zm.cols, zm.l)
     brow, bcol = _block_coords(zm)
@@ -188,6 +190,9 @@ def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
     padded = (zm.rows, zm.cols) != (zm.padded_rows, zm.padded_cols)  # else no entry lies outside
     if padded and ((brow[owner] * zm.l + ai >= zm.rows) | (bcol[owner] * zm.l + aj >= zm.cols)).any():
         raise BcooFormatError("nonzero outside the logical matrix")
+    an = zm.blocks.ravel()[flat]
+    if not np.isfinite(an).all():
+        raise BcooFormatError("AN holds a non-finite value")
     codes = zm.block_codes
     counts = np.bincount(owner, minlength=len(codes))
     stored = counts > 0
@@ -199,7 +204,7 @@ def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
         bi=np.concatenate(([0], np.cumsum(counts[stored]))),
         ai=ai,
         aj=aj,
-        an=zm.blocks.ravel()[flat],
+        an=an,
     )
 
 

@@ -169,20 +169,23 @@ class MatmulStream:
 _ROW, _INNER, _COL = range(3)
 
 
-def _order_bits(mb: int, nb: int, pb: int) -> list[tuple[int, int]]:
-    """(dimension, bit) of each operation-counter bit, most significant first.
+def _quadrant_split(mb: int, nb: int, pb: int) -> tuple[list, list, list]:
+    """The operation counter's (dimension, bit) list, most significant first, as (top row bit, top column bit, rest).
 
     Each recursion level halves the row, then the column, then the inner
     block range; a dimension whose extent is used up adds no more bits.
+    The two top bits pick the output quadrant; each is absent at extent 1.
     """
     labels = ("rows", "inner", "cols")  # indexed by _ROW, _INNER, _COL
     widths = [_axis_width(extent, label) for extent, label in zip((mb, nb, pb), labels)]
-    return [
+    order = [
         (dim, widths[dim] - 1 - level)
         for level in range(max(widths))
         for dim in (_ROW, _COL, _INNER)
         if level < widths[dim]
     ]
+    n_row_q, n_quadrant = int(mb > 1), (mb > 1) + (pb > 1)
+    return order[:n_row_q], order[n_row_q:n_quadrant], order[n_quadrant:]
 
 
 def _schedule_codes(order) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,36 +203,30 @@ def matmul_streams(mb: int, nb: int, pb: int) -> tuple[MatmulStream, ...]:
     one contiguous chunk; those chunks are the per-systolic-array streams
     and advance in lockstep.
     """
-    n_col_halves = 2 if pb > 1 else 1
-    n_streams = (2 if mb > 1 else 1) * n_col_halves
-    codes = _schedule_codes(_order_bits(mb, nb, pb))
-    chunks = zip(*(np.split(code, n_streams) for code in codes))
+    row_q, col_q, rest = _quadrant_split(mb, nb, pb)
+    n_col_halves = 1 << len(col_q)
+    codes = _schedule_codes(row_q + col_q + rest)
+    chunks = zip(*(np.split(code, n_col_halves << len(row_q)) for code in codes))
     return tuple(
         MatmulStream(col_half=q % n_col_halves, c=c, a=a, b=b) for q, (c, a, b) in enumerate(chunks)
     )
 
 
-def _quadrant_split(mb: int, nb: int, pb: int) -> tuple[list, list, list]:
-    """_order_bits(mb, nb, pb) as (top row bit, top column bit, the rest); a quadrant bit is absent at extent 1."""
-    order = _order_bits(mb, nb, pb)
-    n_row_q, n_quadrant = int(mb > 1), (mb > 1) + (pb > 1)
-    return order[:n_row_q], order[n_row_q:n_quadrant], order[n_quadrant:]
-
-
-@lru_cache(maxsize=64)
+# One grid: dse prices a grid's sparsities back to back; sim._simulate_geometry absorbs repeats.
+@lru_cache(maxsize=1)
 def _operand_keys(mb: int, nb: int, pb: int) -> tuple[np.ndarray, np.ndarray]:
     """What a sparse cluster replay reads of matmul_streams(mb, nb, pb), as (a, b); read-only.
 
     a[step, row half] is the weight block's Morton code, which a row
-    half's streams share; b[col half, step] is the feature-map block's
-    (inner * pb + column) rank, which a column half's streams share.  The
-    quadrant bit a key varies with is placed last (a) or first (b).
+    half's streams share, its row quadrant bit placed last.  b[step] is
+    the feature-map block's (inner * pb + column) rank in column half 0's
+    streams; column half 1's ranks are these plus one constant.
     """
-    row_q, col_q, rest = _quadrant_split(mb, nb, pb)
+    row_q, _, rest = _quadrant_split(mb, nb, pb)
     a = _placed(rest + row_q, _morton_weight(_ROW, _INNER), np.uint32)
     rank = {_INNER: pb, _COL: 1}  # inner * pb + column
-    b = _placed(col_q + rest, lambda dim, bit: rank.get(dim, 0) << bit, np.uint32)
-    return a.reshape(-1, 1 << len(row_q)), b.reshape(1 << len(col_q), -1)
+    b = _placed(rest, lambda dim, bit: rank.get(dim, 0) << bit, np.uint32)
+    return a.reshape(-1, 1 << len(row_q)), b
 
 
 @lru_cache(maxsize=64)

@@ -38,9 +38,11 @@ l*l positions share one stream schedule and are replayed in one batched
 pass: their weight tables, activity masks and the counts derived from
 them are built together, and per position each buffer runs one
 pure-Python walk that counts its misses and sums the decompressor's
-nonzeros.  The seeded survivor draw of a (block count, seed, position)
-is memoized too, so every swept sparsity reads a prefix of one
-permutation.
+nonzeros; the feature-map walk reads column half 0's keys, and the keys
+are kept for the last grid only.  The seeded survivor draw of a (block
+count, seed, position) is memoized too, so every swept sparsity reads a
+prefix of one permutation.  Each producer sets only the stage it prices;
+a report's total cycles and operand slots are derived.
 """
 
 from __future__ import annotations
@@ -95,20 +97,14 @@ class ArchConfig:
     def transform_pass_cycles(self) -> int:
         return self.l + self.pipeline_fill
 
-    @property
-    def decompress_cycles_per_nnz(self) -> int:
-        return 1
-
 
 @dataclass
 class SimReport:
-    """Counters from one deterministic simulation."""
+    """Counters from one deterministic simulation; the total and the operand slots are derived."""
 
-    total_cycles: int = 0
     external_block_fetches: int = 0
     block_matmuls_executed: int = 0
     busy_cycles: list = field(default_factory=list)
-    operand_slots: int = 0
     steps_executed: int = 0
     decompress_stall_cycles: int = 0
     transform_cycles: int = 0
@@ -116,6 +112,14 @@ class SimReport:
     inverse_cycles: int = 0
     step_slots: list | None = None
     step_distinct: list | None = None
+
+    @property
+    def total_cycles(self) -> int:
+        return self.transform_cycles + self.matmul_cycles + self.inverse_cycles
+
+    @property
+    def operand_slots(self) -> int:
+        return 2 * self.block_matmuls_executed
 
     @property
     def local_block_fetches(self) -> int:
@@ -137,7 +141,6 @@ class SimReport:
 _ADDITIVE_FIELDS = (
     "external_block_fetches",
     "block_matmuls_executed",
-    "operand_slots",
     "steps_executed",
     "decompress_stall_cycles",
 )
@@ -151,14 +154,15 @@ def simulate_transform(tile_count: int, cfg: ArchConfig) -> SimReport:
     """Cost of pushing `tile_count` tiles through the two-pass transform bank.
 
     Tiles distribute round-robin over the transform arrays; each pass is
-    pipelined at one tile per issue interval after the first.
+    pipelined at one tile per issue interval after the first.  The stage
+    is reported in transform_cycles, whichever transform the bank runs.
     """
     if tile_count < 0:
         raise ValueError("tile_count must be >= 0")
     n, issue = cfg.transform_arrays, cfg.cycles_per_block_matmul_issue
     per_array = [tile_count // n + (1 if i < tile_count % n else 0) for i in range(n)]
     busy = [2 * (cfg.transform_pass_cycles + (t - 1) * issue) if t else 0 for t in per_array]
-    return SimReport(total_cycles=max(busy), busy_cycles=busy)  # transform_arrays >= 1
+    return SimReport(transform_cycles=max(busy), busy_cycles=busy)  # transform_arrays >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -242,28 +246,26 @@ def _counter_misses(keyed: list, capacity: int) -> int:
 
 
 def _run_cluster_schedules(
-    keys, cfg: ArchConfig, nnz: np.ndarray, collect_steps: bool = False
+    grid, cfg: ArchConfig, nnz: np.ndarray, collect_steps: bool = False
 ) -> list[SimReport]:
-    """Replay the lockstep streams' operand keys through the sparse cluster's FIFOs, once per position.
+    """Replay the padded (mb, nb, pb) block grid through the sparse cluster's FIFOs, once per position.
 
     `nnz` is a (position, weight code) table of each present weight
     block's nonzero count, 0 where the block is absent: only operations on
     a present weight run, weight misses pass the decompressor and the
     feature-map FIFO splits into one half-depth FIFO per column group.
-    The table must span every weight code of the streams.  Returns one
+    The table must span every weight code of the grid.  Returns one
     report per position.
 
-    `keys` is engine._operand_keys of the block grid.  Weight blocks are
-    keyed by Morton code, feature-map blocks by (row, column) rank: a
-    skinny grid's codes spread far wider than its block count.  At every
-    step half 0's key lies below half 1's, so each step's distinct
-    ascending keys need no sort.  Activity and the counts derived from it
-    are built for all positions at once; per position, each buffer's
-    access sequence goes to one list walk.
+    The walks read engine._operand_keys of the grid: both row halves'
+    weight codes, and column half 0's feature-map ranks, since the two
+    column-half FIFOs see one mask and keys one constant apart.  The
+    activity and its counts are built for all positions at once; per
+    position, each buffer's access sequence goes to one list walk.
     """
     issue = cfg.cycles_per_block_matmul_issue
-    a, b = keys
-    n_col_halves = len(b)
+    a, b = _operand_keys(*grid)
+    n_col_halves = 1 << len(_quadrant_split(*grid)[1])
     member = nnz > 0  # member[pos, code]: does position pos run operations on weight code?
     fm_cost = [0] * (int(b.max()) + 1)
     act = member[:, a]  # (position, step, row half)
@@ -278,23 +280,17 @@ def _run_cluster_schedules(
     reps = []
     for p in range(len(member)):
         a_misses, decomp = _fifo_misses(a[act[p]].tolist(), cfg.fifo_depth, nnz[p].tolist())
-        # Both column-half FIFOs see one mask, and their keys differ by one
-        # constant, so they miss alike: replay one, count it per half.
-        fm_misses = _fifo_misses(b[0][ran[p]].tolist(), cfg.fifo_depth // 2, fm_cost)[0]
+        fm_misses = _fifo_misses(b[ran[p]].tolist(), cfg.fifo_depth // 2, fm_cost)[0]
 
         compute = steps[p] * issue
-        decomp *= cfg.decompress_cycles_per_nnz
         stall = max(0, decomp - compute) if cfg.fifo_depth >= 2 else decomp
-        total = cfg.pipeline_fill + compute + stall if macs[p] else 0
         rep = SimReport(
-            total_cycles=total,
             external_block_fetches=a_misses + n_col_halves * fm_misses,
             block_matmuls_executed=macs[p],
             busy_cycles=busy[p],
-            operand_slots=2 * macs[p],
             steps_executed=steps[p],
             decompress_stall_cycles=stall,
-            matmul_cycles=total,
+            matmul_cycles=cfg.pipeline_fill + compute + stall if macs[p] else 0,
         )
         if collect_steps:
             active = rows_active[p][ran[p]]
@@ -322,20 +318,16 @@ def _run_dense_schedule(grid, cfg: ArchConfig, collect_steps: bool) -> SimReport
     n_arrays = n_row_halves * n_col_halves
     n_steps = mb * nb * pb // n_arrays
     compute = n_steps * cfg.cycles_per_block_matmul_issue
-    macs = n_arrays * n_steps
     misses = sum(
         _counter_misses([dim != repeat for dim, _ in bits], cfg.fifo_depth)
         for bits, repeat in ((rest + row_q, _COL), (rest + col_q, _ROW))
     )
-    total = cfg.pipeline_fill + compute
     rep = SimReport(
-        total_cycles=total,
         external_block_fetches=misses,
-        block_matmuls_executed=macs,
+        block_matmuls_executed=mb * nb * pb,
         busy_cycles=[compute] * n_arrays + [0] * (4 - n_arrays),
-        operand_slots=2 * macs,
         steps_executed=n_steps,
-        matmul_cycles=total,
+        matmul_cycles=cfg.pipeline_fill + compute,
     )
     if collect_steps:
         rep.step_slots = [2 * n_arrays] * n_steps
@@ -365,10 +357,10 @@ def simulate_cluster_sparse(
     Only products whose weight block exists are scheduled; the memory
     access pattern follows the distribution of the stored blocks.
     """
-    mb, nb, pb = _cluster_grid(U, V, cfg)
-    nnz = np.zeros((1, _grid_codes(mb, nb)[-1] + 1), dtype=np.int64)
+    grid = _cluster_grid(U, V, cfg)
+    nnz = np.zeros((1, _grid_codes(*grid[:2])[-1] + 1), dtype=np.int64)
     nnz[0, U.bn] = np.diff(U.bi)
-    return _run_cluster_schedules(_operand_keys(mb, nb, pb), cfg, nnz, collect_steps)[0]
+    return _run_cluster_schedules(grid, cfg, nnz, collect_steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +427,11 @@ def simulate_layer(
     P = th * tw
     grid = (_block_extent(n, cfg.l) for n in (layer.K, layer.C, P))
     rep = _simulate_geometry(*grid, cfg, sparsity, seed)
-    t_in = simulate_transform(layer.C * P, cfg).total_cycles
-    t_out = simulate_transform(layer.K * P, cfg).total_cycles
     return replace(
         rep,
-        total_cycles=t_in + rep.matmul_cycles + t_out,
         busy_cycles=list(rep.busy_cycles),
-        transform_cycles=t_in,
-        inverse_cycles=t_out,
+        transform_cycles=simulate_transform(layer.C * P, cfg).transform_cycles,
+        inverse_cycles=simulate_transform(layer.K * P, cfg).transform_cycles,
     )
 
 
@@ -472,7 +461,7 @@ def _simulate_geometry(
         block_nnz = _synthetic_block_nnz(l, sparsity)
         nnz = np.zeros((l * l, grid_codes[-1] + 1), dtype=np.min_scalar_type(block_nnz))
         nnz[np.arange(l * l)[:, None], grid_codes[orders]] = block_nnz
-        reps = _run_cluster_schedules(_operand_keys(mb, nb, pb), cfg, nnz)
+        reps = _run_cluster_schedules((mb, nb, pb), cfg, nnz)
     else:
         # Every dense position runs the same streams, so one pricing serves all l^2.
         reps = [_run_dense_schedule((mb, nb, pb), cfg, False)] * (l * l)
@@ -481,14 +470,12 @@ def _simulate_geometry(
     busy = [0] * (cfg.clusters * 4)
     for pos, rep in enumerate(reps):
         cluster = pos % cfg.clusters
-        cluster_cycles[cluster] += rep.total_cycles
+        cluster_cycles[cluster] += rep.matmul_cycles
         for q, b in enumerate(rep.busy_cycles):
             busy[cluster * 4 + q] += b
 
-    matmul_stage = max(cluster_cycles)
     return SimReport(
-        total_cycles=matmul_stage,
         busy_cycles=busy,
         **{f: sum(getattr(rep, f) for rep in reps) for f in _ADDITIVE_FIELDS},
-        matmul_cycles=matmul_stage,
+        matmul_cycles=max(cluster_cycles),
     )

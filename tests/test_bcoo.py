@@ -395,6 +395,20 @@ def test_prune_rejects_non_finite_entries(bad):
         prune(_batch_of(m), 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_records_refuse_non_finite_values(bad):
+    # NaN or inf would reach the products unannounced; no construction path stores one
+    blob = _blob(4, 4, 4, bn=[0], bi=[0, 2], ai=[0, 1], aj=[2, 0], an=[1.0, bad])
+    with pytest.raises(BcooFormatError, match="AN holds a non-finite value"):
+        bcoo_from_bytes(blob)
+    with pytest.raises(BcooFormatError, match="AN holds a non-finite value"):
+        _record(4, 4, 4, bn=[0], bi=[0, 1], ai=[3], aj=[3], an=[bad])
+    m = _random_sparse(np.random.default_rng(6), 9, 7, 0.5)
+    m[8, 6] = bad
+    with pytest.raises(BcooFormatError, match="AN holds a non-finite value"):
+        bcoo_encode(to_zmorton(m, 4))
+
+
 def test_duplicate_test_survives_a_key_past_int64():
     # (owner * l + ai) * l + aj overflows int64 here: AI = 2**24 times
     # l = 2**40 wraps to 0, so a naive key would equate (2**24, 5) and (0, 5).

@@ -234,14 +234,14 @@ def test_schedule_matches_recursive_reference():
 
 @pytest.mark.parametrize("grid", list(product([1, 2, 8], repeat=3)) + _SKINNY_GRIDS)
 def test_operand_keys_are_the_streams_keys(grid):
-    # the replay's keys: weight codes of column half 0, feature-map ranks of row half 0
+    # the replay's keys: weight codes of column half 0, feature-map ranks of row half 0, column half 0
     pb = grid[2]
     streams = matmul_streams(*grid)
     n_col_halves = 2 if pb > 1 else 1
     a, b = _operand_keys(*grid)
     assert a.T.tolist() == [s.a.tolist() for s in streams[::n_col_halves]]
     inner, col = _morton_decode_array(np.stack([s.b for s in streams[:n_col_halves]]))
-    assert b.tolist() == (inner * pb + col).tolist()
+    assert b.tolist() == (inner * pb + col)[0].tolist()
 
 
 def test_memoized_schedules_are_read_only():
@@ -589,15 +589,16 @@ def test_dense_conv_rejects_overflow(plan):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
 def test_sparse_conv_rejects_non_finite_products(plan, value):
-    # a well-formed record whose AN value makes the products NaN, inf, or overflow
+    # an AN value of NaN or inf is refused when its record is built; a finite one whose products overflow,
+    # by the convolution
     rng = np.random.default_rng(27)
     fm = rng.uniform(-1, 1, (3, 8, 8)) * 1e300
     _, enc, _ = compress_filters(rng.uniform(-1, 1, (4, 3, 3, 3)), plan, 0.5)
     u = enc[5]
     an = u.an.copy()
     an[0] = value
-    records = enc[:5] + [BcooMatrix(u.rows, u.cols, u.l, u.bn, u.bi, u.ai, u.aj, an)] + enc[6:]
     with pytest.raises(ValueError, match="non-finite"):
+        records = enc[:5] + [BcooMatrix(u.rows, u.cols, u.l, u.bn, u.bi, u.ai, u.aj, an)] + enc[6:]
         winograd_conv_sparse(fm, records, plan, pad=1)
 
 

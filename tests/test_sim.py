@@ -157,7 +157,6 @@ def _reference_run_cluster_schedule(
     ran = n_active > 0
     steps = int(ran.sum())
     macs = int(n_active.sum())
-    slots = 2 * macs
     busy = [0] * 4
     busy[: len(streams)] = (issue * active.sum(axis=1)).tolist()
 
@@ -165,16 +164,13 @@ def _reference_run_cluster_schedule(
     stall = 0
     if weights is not None:
         decomp = int(nnz[np.searchsorted(present, a_missed)].sum())
-        decomp *= cfg.decompress_cycles_per_nnz
         stall = max(0, decomp - compute) if cfg.fifo_depth >= 2 else decomp
     total = cfg.pipeline_fill + compute + stall if macs else 0
 
     return SimReport(
-        total_cycles=total,
         external_block_fetches=ext,
         block_matmuls_executed=macs,
         busy_cycles=busy,
-        operand_slots=slots,
         steps_executed=steps,
         decompress_stall_cycles=stall,
         matmul_cycles=total,
@@ -225,8 +221,7 @@ def test_cluster_schedule_matches_sort_based_reference(extents, fifo_depth, spar
     if weights is None:
         got = _run_dense_schedule(extents, cfg, collect_steps=True)
     else:
-        keys = _operand_keys(*extents)
-        [got] = _run_cluster_schedules(keys, cfg, _nnz_table([weights], extents), collect_steps=True)
+        [got] = _run_cluster_schedules(extents, cfg, _nnz_table([weights], extents), collect_steps=True)
     want = _reference_run_cluster_schedule(streams, cfg, weights, collect_steps=True)
     assert got == want
 
@@ -243,10 +238,9 @@ def test_batched_replay_matches_reference_per_position(extents, fifo_depth, data
     cfg = ArchConfig(fifo_depth=fifo_depth)
     n_pos = data.draw(st.integers(1, 36))
     weights = [_draw_weights(data, extents) for _ in range(n_pos)]
-    keys = _operand_keys(*extents)
     calls = [
         ([_run_dense_schedule(extents, cfg, collect_steps=True)], [None]),
-        (_run_cluster_schedules(keys, cfg, _nnz_table(weights, extents), collect_steps=True), weights),
+        (_run_cluster_schedules(extents, cfg, _nnz_table(weights, extents), collect_steps=True), weights),
     ]
     for got, per_position in calls:
         assert len(got) == len(per_position)
@@ -572,6 +566,39 @@ def test_layer_memo_holds_one_entry_per_block_grid(plan, cfg):
     reps[1].busy_cycles.append(5)
     assert simulate_layer(by_name["conv6_1"], plan, cfg) == want
     assert simulate_layer(by_name["conv5_1"], plan, cfg).busy_cycles == want.busy_cycles
+
+
+def test_operand_key_memo_holds_one_grid(cfg):
+    # dse prices a grid's sparsities back to back, so the replay's keys are kept for the last grid only
+    _simulate_geometry.cache_clear()
+    _operand_keys.cache_clear()
+    dse_sweep(scale_network(vgg16_spec(), 4), [2, 4], [0.6, 0.9], cfg=cfg)
+    info = _operand_keys.cache_info()
+    assert info.misses >= 2 and info.hits >= 1
+    assert info.currsize == 1
+
+
+def test_every_report_derives_its_total_and_operand_slots(plan, cfg):
+    rng = np.random.default_rng(26)
+    A = rng.uniform(0.1, 1.0, (16, 12))
+    A[:8, 4:] = 0.0  # three absent weight blocks
+    V = to_zmorton(rng.uniform(-1, 1, (12, 8)), 4)
+    layer = LayerSpec("t", H=8, W=8, C=16, K=8, r=3, pad=1)
+    reports = {
+        "empty": SimReport(),
+        "transform": simulate_transform(33, cfg),
+        "cluster dense": simulate_cluster_dense(to_zmorton(A, 4), V, cfg),
+        "cluster sparse": simulate_cluster_sparse(bcoo_encode(to_zmorton(A, 4)), V, cfg),
+        "layer dense": simulate_layer(layer, plan, cfg),
+        "layer sparse": simulate_layer(layer, plan, cfg, 0.7, seed=1),
+    }
+    for name, rep in reports.items():
+        assert rep.total_cycles == rep.transform_cycles + rep.matmul_cycles + rep.inverse_cycles, name
+        assert rep.operand_slots == 2 * rep.block_matmuls_executed, name
+        assert (rep.total_cycles > 0) == (name != "empty"), name
+    assert reports["transform"].transform_cycles == 2 * (10 + 2 * 4)
+    with pytest.raises(TypeError):
+        SimReport(total_cycles=1)
 
 
 def test_layer_determinism(plan, cfg):
