@@ -141,6 +141,10 @@ class FcSpec:
     in_features: int
     out_features: int
 
+    def __post_init__(self):
+        if min(self.in_features, self.out_features) < 1:
+            raise ValueError(f"{self.name}: features must be positive")
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -212,15 +216,14 @@ def matmul_streams(mb: int, nb: int, pb: int) -> tuple[MatmulStream, ...]:
     )
 
 
-# One grid: dse prices a grid's sparsities back to back; sim._simulate_geometry absorbs repeats.
-@lru_cache(maxsize=1)
 def _operand_keys(mb: int, nb: int, pb: int) -> tuple[np.ndarray, np.ndarray]:
     """What a sparse cluster replay reads of matmul_streams(mb, nb, pb), as (a, b); read-only.
 
     a[step, row half] is the weight block's Morton code, which a row
     half's streams share, its row quadrant bit placed last.  b[step] is
     the feature-map block's (inner * pb + column) rank in column half 0's
-    streams; column half 1's ranks are these plus one constant.
+    streams; column half 1's ranks are these plus one constant.  Each call
+    builds them afresh: sim._matmul_stages asks once per grid.
     """
     row_q, _, rest = _quadrant_split(mb, nb, pb)
     a = _placed(rest + row_q, _morton_weight(_ROW, _INNER), np.uint32)

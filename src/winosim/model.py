@@ -33,7 +33,7 @@ import numpy as np
 
 from .engine import FcSpec, LayerSpec, NetworkSpec, PoolSpec
 from .plans import WinogradPlan, make_plan
-from .sim import ArchConfig, SimReport, simulate_layer
+from .sim import ArchConfig, SimReport, _simulate_sparsities
 
 __all__ = [
     "EnergyParams",
@@ -251,7 +251,8 @@ def dse_sweep(
     rounded to integers: s is read as the fraction of zero weight entries.
     Feature-map volumes are unchanged.  With `simulate`, each point also
     carries the simulated latency and fetch counters of simulate_layer,
-    which reads s as the fraction of all-zero weight blocks.
+    which reads s as the fraction of all-zero weight blocks.  The layers of
+    one plan share its priced block grids, each priced once at every s.
     """
     m_values = list(m_values)
     sparsities = list(sparsities)
@@ -262,24 +263,25 @@ def dse_sweep(
             raise ValueError(f"sparsity {s!r} must lie in [0, 1]")
     ep = ep or EnergyParams()
     cfg = cfg or ArchConfig()
-    plans: dict = {}  # (m, r) -> F(m, r) and the architecture at its block side
+    plans: dict = {}  # (m, r) -> F(m, r), the architecture at its block side, its priced grids
     rows = []
     for m in m_values:
         for layer in net.conv_layers():
             key = (m, layer.r)
             if key not in plans:
                 plan = make_plan(*key)
-                plans[key] = plan, replace(cfg, l=plan.l)
-            lplan, lcfg = plans[key]
+                plans[key] = plan, replace(cfg, l=plan.l), {}
+            lplan, lcfg, priced = plans[key]
             d_wi, d_wo, d_wk = volumes(layer, m)
             m_w = mult_count(layer, m)
             s_w, s_b, s_a = add_counts(layer, lplan, corrected_transform_adds)
-            for s in sparsities:
+            reps = (_simulate_sparsities(layer, lplan, lcfg, sparsities, seed, priced) if simulate
+                    else [SimReport()] * len(sparsities))
+            for s, rep in zip(sparsities, reps):
                 surviving = 1.0 - s
                 m_w_eff = int(round(m_w * surviving))
                 d_wk_eff = int(round(d_wk * surviving))
                 e_tot = _energy(ep, d_wi, d_wo, d_wk_eff, m_w_eff, s_w + s_b + s_a)
-                rep = simulate_layer(layer, lplan, lcfg, s, seed) if simulate else SimReport()
                 rows.append(
                     SweepRow(
                         layer=layer.name,

@@ -23,32 +23,23 @@ blocks deep) and the feature-map FIFO is split into two half-depth FIFOs,
 one per output-column group.
 
 Everything is cycle-deterministic: identical inputs and configuration
-produce identical reports.  A layer's matmul stage depends only on its
-padded block grid (the power-of-two block extents of K, C and the tile
-count), the ArchConfig, sparsity and seed, so simulate_layer memoizes
-that stage on exactly those and adds the two transform stages, which
-scale with C and K times the tile count, outside the memo: `simulate`
-and `dse` replay a repeated block grid once, even across layers of
-different tile counts.  The dense datapath is priced in closed form
-from the schedule's shape, its two FIFOs included: each access
-sequence is one binary operation counter whose bits either name the
-block or repeat, and a memoized recursion over those bits counts its
-misses exactly without walking it.  A sparse grid's
-l*l positions share one stream schedule and are replayed in one batched
-pass: their weight tables, activity masks and the counts derived from
-them are built together, and per position each buffer runs one
-pure-Python walk that counts its misses and sums the decompressor's
-nonzeros; the feature-map walk reads column half 0's keys, and the keys
-are kept for the last grid only.  The seeded survivor draw of a (block
-count, seed, position) is memoized too, so every swept sparsity reads a
-prefix of one permutation.  Each producer sets only the stage it prices;
-a report's total cycles and operand slots are derived.
+produce identical reports, and no report depends on an earlier call.  A
+layer's matmul stage depends only on its padded block grid (the
+power-of-two block extents of K, C and the tile count), the ArchConfig,
+sparsity and seed.  _matmul_stages prices one grid at every sparsity of
+a sweep and builds the sparse replay's keys and survivor draws once, so
+every sparsity reads a prefix of one permutation; `dse_sweep` shares
+each plan's priced grids among its layers, and each layer adds its own
+two transform stages.  The dense datapath is priced in closed form from
+the schedule's operation counter (_counter_misses); a sparse grid's l*l
+positions replay in one batched pass, one list walk per buffer and
+position (_run_cluster_schedules).  Each producer sets only the stage it
+prices; a report's total cycles and operand slots are derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -246,7 +237,7 @@ def _counter_misses(keyed: list, capacity: int) -> int:
 
 
 def _run_cluster_schedules(
-    grid, cfg: ArchConfig, nnz: np.ndarray, collect_steps: bool = False
+    grid, keys, cfg: ArchConfig, nnz: np.ndarray, collect_steps: bool = False
 ) -> list[SimReport]:
     """Replay the padded (mb, nb, pb) block grid through the sparse cluster's FIFOs, once per position.
 
@@ -257,14 +248,15 @@ def _run_cluster_schedules(
     The table must span every weight code of the grid.  Returns one
     report per position.
 
-    The walks read engine._operand_keys of the grid: both row halves'
+    The walks read `keys`, engine._operand_keys of the grid, which the
+    caller builds once for all the tables it replays: both row halves'
     weight codes, and column half 0's feature-map ranks, since the two
     column-half FIFOs see one mask and keys one constant apart.  The
     activity and its counts are built for all positions at once; per
     position, each buffer's access sequence goes to one list walk.
     """
     issue = cfg.cycles_per_block_matmul_issue
-    a, b = _operand_keys(*grid)
+    a, b = keys
     n_col_halves = 1 << len(_quadrant_split(*grid)[1])
     member = nnz > 0  # member[pos, code]: does position pos run operations on weight code?
     fm_cost = [0] * (int(b.max()) + 1)
@@ -360,26 +352,17 @@ def simulate_cluster_sparse(
     grid = _cluster_grid(U, V, cfg)
     nnz = np.zeros((1, _grid_codes(*grid[:2])[-1] + 1), dtype=np.int64)
     nnz[0, U.bn] = np.diff(U.bi)
-    return _run_cluster_schedules(grid, cfg, nnz, collect_steps)[0]
+    return _run_cluster_schedules(grid, _operand_keys(*grid), cfg, nnz, collect_steps)[0]
 
 
 # ---------------------------------------------------------------------------
 # whole-layer simulation
 
 
-# Holds every position of two block grids for l <= 8: `dse` prices a layer's
-# sparsities back to back, and layers of one block grid often follow each other.
-@lru_cache(maxsize=128)
-def _survivor_order(n: int, seed: int, pos: int) -> np.ndarray:
-    """Seeded permutation of n grid blocks, most durable first; read-only, as the cache shares it.
-
-    Every sparsity of a (seed, position) reads a prefix of this one draw.
-    It is stored in the narrowest unsigned type that holds n - 1.
-    """
-    order = np.random.default_rng((seed, pos)).permutation(n)
-    order = order.astype(np.min_scalar_type(n - 1))
-    order.setflags(write=False)
-    return order
+def _survivor_orders(n: int, seed: int, positions: int) -> np.ndarray:
+    """Row pos: the (seed, pos) permutation of n grid blocks, most durable first, narrowest unsigned type."""
+    dtype = np.min_scalar_type(n - 1)
+    return np.stack([np.random.default_rng((seed, pos)).permutation(n).astype(dtype) for pos in range(positions)])
 
 
 def _synthetic_block_nnz(l: int, sparsity: float) -> int:
@@ -414,10 +397,19 @@ def simulate_layer(
     blocks (deterministic seeded choice, nested across sparsities) and
     surviving blocks carry the element-wise-pruning nonzero estimate of
     _synthetic_block_nnz; at zero sparsity the dense datapath (no
-    decompressors) is modelled.  Layers of one padded block grid share a
-    memoized matmul stage; each call gets its own report.
+    decompressors) is modelled.  Each call prices its own grid.
     """
-    if not 0.0 <= sparsity <= 1.0:
+    return _simulate_sparsities(layer, plan, cfg, [sparsity], seed, {})[0]
+
+
+def _simulate_sparsities(layer, plan: WinogradPlan, cfg: ArchConfig, sparsities, seed: int, priced: dict) -> list:
+    """simulate_layer at each of `sparsities`, one fresh report each.
+
+    `priced` maps a padded block grid to its _matmul_stages at these
+    sparsities, cfg and seed, so a caller shares one table only across
+    calls that agree on all three.  A grid not in it is priced and added.
+    """
+    if not all(0.0 <= s <= 1.0 for s in sparsities):
         raise ValueError("sparsity must lie in [0, 1]")
     if cfg.l != plan.l:
         raise ValueError(f"architecture block side {cfg.l} != plan l={plan.l}")
@@ -425,57 +417,53 @@ def simulate_layer(
         raise ValueError(f"{layer.name}: filter width {layer.r} != plan r={plan.r}")
     th, tw = layer.tile_counts(plan.m)
     P = th * tw
-    grid = (_block_extent(n, cfg.l) for n in (layer.K, layer.C, P))
-    rep = _simulate_geometry(*grid, cfg, sparsity, seed)
-    return replace(
-        rep,
-        busy_cycles=list(rep.busy_cycles),
-        transform_cycles=simulate_transform(layer.C * P, cfg).transform_cycles,
-        inverse_cycles=simulate_transform(layer.K * P, cfg).transform_cycles,
-    )
+    grid = tuple(_block_extent(n, cfg.l) for n in (layer.K, layer.C, P))
+    if grid not in priced:
+        priced[grid] = _matmul_stages(grid, cfg, sparsities, seed)
+    transform = simulate_transform(layer.C * P, cfg).transform_cycles
+    inverse = simulate_transform(layer.K * P, cfg).transform_cycles
+    return [
+        replace(stage, busy_cycles=list(stage.busy_cycles), transform_cycles=transform, inverse_cycles=inverse)
+        for stage in priced[grid]
+    ]
 
 
-@lru_cache(maxsize=256)
-def _simulate_geometry(
-    mb: int, nb: int, pb: int, cfg: ArchConfig, sparsity: float, seed: int
-) -> SimReport:
-    """simulate_layer's matmul stage on the padded (mb x nb) by (nb x pb) block grid.
+def _matmul_stages(grid, cfg: ArchConfig, sparsities, seed: int) -> list[SimReport]:
+    """The matmul stage of the padded (mb x nb) by (nb x pb) block grid at each of `sparsities`.
 
-    The stage depends on nothing else of the layer: not its name, and not
-    K, C or its tile count beyond their padded block extents, so layers
-    that differ only there (and in their transform stages, which
-    simulate_layer adds) share one entry.  simulate_layer returns copies,
-    so the memo is never aliased.  At nonzero sparsity all l*l positions
-    replay in one _run_cluster_schedules call, each keeping a prefix of
-    its memoized _survivor_order draw; at zero sparsity one dense pricing
-    stands for every position.
+    At nonzero sparsity all l*l positions replay in one
+    _run_cluster_schedules call, each keeping a prefix of its seeded
+    survivor draw; the grid codes, the draws and the operand keys are built
+    once, and only if some sparsity is nonzero.  At zero sparsity one dense
+    pricing stands for every position.
     """
     l = cfg.l
-    if sparsity > 0.0:
-        # Each position keeps the most durable blocks of its draw; survivor
-        # sets nest as sparsity grows.
-        grid_codes = _grid_codes(mb, nb)
-        n = len(grid_codes)
-        keep = int(round((1.0 - sparsity) * n))
-        orders = np.stack([_survivor_order(n, seed, pos)[:keep] for pos in range(l * l)])
-        block_nnz = _synthetic_block_nnz(l, sparsity)
-        nnz = np.zeros((l * l, grid_codes[-1] + 1), dtype=np.min_scalar_type(block_nnz))
-        nnz[np.arange(l * l)[:, None], grid_codes[orders]] = block_nnz
-        reps = _run_cluster_schedules((mb, nb, pb), cfg, nnz)
-    else:
-        # Every dense position runs the same streams, so one pricing serves all l^2.
-        reps = [_run_dense_schedule((mb, nb, pb), cfg, False)] * (l * l)
+    if any(s > 0.0 for s in sparsities):
+        grid_codes = _grid_codes(*grid[:2])
+        orders = _survivor_orders(len(grid_codes), seed, l * l)
+        keys = _operand_keys(*grid)
+    stages = []
+    for s in sparsities:
+        if s > 0.0:
+            # Each position keeps its draw's most durable blocks: survivor sets nest.
+            keep = int(round((1.0 - s) * len(grid_codes)))
+            block_nnz = _synthetic_block_nnz(l, s)
+            nnz = np.zeros((l * l, grid_codes[-1] + 1), dtype=np.min_scalar_type(block_nnz))
+            nnz[np.arange(l * l)[:, None], grid_codes[orders[:, :keep]]] = block_nnz
+            reps = _run_cluster_schedules(grid, keys, cfg, nnz)
+        else:
+            # Every dense position runs the same streams, so one pricing serves all l^2.
+            reps = [_run_dense_schedule(grid, cfg, False)] * (l * l)
 
-    cluster_cycles = [0] * cfg.clusters
-    busy = [0] * (cfg.clusters * 4)
-    for pos, rep in enumerate(reps):
-        cluster = pos % cfg.clusters
-        cluster_cycles[cluster] += rep.matmul_cycles
-        for q, b in enumerate(rep.busy_cycles):
-            busy[cluster * 4 + q] += b
-
-    return SimReport(
-        busy_cycles=busy,
-        **{f: sum(getattr(rep, f) for rep in reps) for f in _ADDITIVE_FIELDS},
-        matmul_cycles=max(cluster_cycles),
-    )
+        cluster_cycles = [0] * cfg.clusters
+        busy = [0] * (cfg.clusters * 4)
+        for pos, rep in enumerate(reps):
+            cluster_cycles[pos % cfg.clusters] += rep.matmul_cycles
+            for q, b in enumerate(rep.busy_cycles, 4 * (pos % cfg.clusters)):
+                busy[q] += b
+        stages.append(SimReport(
+            busy_cycles=busy,
+            **{f: sum(getattr(rep, f) for rep in reps) for f in _ADDITIVE_FIELDS},
+            matmul_cycles=max(cluster_cycles),
+        ))
+    return stages

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from winosim import cli, layout, sim
+from winosim import cli, layout
 from winosim.bcoo import bcoo_from_bytes
 from winosim.engine import direct_conv, load_tensor, save_tensor
 from winosim.model import format_network_config, vgg16_spec
@@ -131,7 +131,6 @@ def test_simulate_and_dse_never_build_the_morton_decode_table(tmp_path):
     # The replay takes feature-map ranks from the schedule; the process-wide
     # 512 KB decode table serves BCOO validation and Z-Morton packing only.
     layout._compact_table.cache_clear()
-    sim._simulate_geometry.cache_clear()  # so every geometry replays
     common = ["--spec", "vgg16", "--scale", "16", "--seed", "3"]
     assert run_cli(["simulate", *common, "--out", str(tmp_path / "sim.csv")]) == 0
     assert run_cli(["dse", *common, "--m-values", "2,4", "--sparsities", "0.6,0.9",
@@ -185,6 +184,15 @@ def test_unpriceable_layer_rejected_with_line_number(tmp_path, capsys, command, 
     out = tmp_path / "o.csv"
     assert run_cli([command, "--spec", str(spec), "--out", str(out)]) == 1
     assert "network config line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fc_line_without_features_rejected(tmp_path, capsys):
+    spec = tmp_path / "net.cfg"
+    spec.write_text("conv ok 8 8 2 2 3 1\nfc x -5 0\n")
+    out = tmp_path / "o.csv"
+    assert run_cli(["simulate", "--spec", str(spec), "--out", str(out)]) == 1
+    assert "network config line 2: x: features must be positive" in capsys.readouterr().err
     assert not out.exists()
 
 

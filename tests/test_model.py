@@ -308,6 +308,12 @@ def test_network_config_requires_exact_field_count(line, message):
         parse_network_config("pool\n" + line + "\n")
 
 
+@pytest.mark.parametrize("line", ["fc x -5 0", "fc x 0 10", "fc x 10 0"])
+def test_network_config_rejects_fc_without_features(line):
+    with pytest.raises(ValueError, match="^network config line 2: x: features must be positive$"):
+        parse_network_config("pool\n" + line + "\n")
+
+
 def test_scale_network():
     net = scale_network(vgg16_spec(), 16)
     first = net.conv_layers()[0]

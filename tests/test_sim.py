@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 from test_engine import _malformed_records
+from winosim import sim
 from winosim.bcoo import BcooFormatError, BcooMatrix, bcoo_encode, bcoo_from_bytes, bcoo_to_bytes
 from winosim.engine import LayerSpec, _operand_keys, matmul_streams
 from winosim.layout import _grid_codes, to_zmorton
-from winosim.model import dse_sweep, scale_network, vgg16_spec
+from winosim.model import dse_sweep, parse_network_config, scale_network, vgg16_spec
 from winosim.plans import make_plan
 from winosim.sim import (
     ArchConfig,
@@ -27,8 +28,7 @@ from winosim.sim import (
     _fifo_misses,
     _run_cluster_schedules,
     _run_dense_schedule,
-    _simulate_geometry,
-    _survivor_order,
+    _survivor_orders,
 )
 
 
@@ -221,7 +221,9 @@ def test_cluster_schedule_matches_sort_based_reference(extents, fifo_depth, spar
     if weights is None:
         got = _run_dense_schedule(extents, cfg, collect_steps=True)
     else:
-        [got] = _run_cluster_schedules(extents, cfg, _nnz_table([weights], extents), collect_steps=True)
+        [got] = _run_cluster_schedules(
+            extents, _operand_keys(*extents), cfg, _nnz_table([weights], extents), collect_steps=True
+        )
     want = _reference_run_cluster_schedule(streams, cfg, weights, collect_steps=True)
     assert got == want
 
@@ -240,7 +242,9 @@ def test_batched_replay_matches_reference_per_position(extents, fifo_depth, data
     weights = [_draw_weights(data, extents) for _ in range(n_pos)]
     calls = [
         ([_run_dense_schedule(extents, cfg, collect_steps=True)], [None]),
-        (_run_cluster_schedules(extents, cfg, _nnz_table(weights, extents), collect_steps=True), weights),
+        (_run_cluster_schedules(
+            extents, _operand_keys(*extents), cfg, _nnz_table(weights, extents), collect_steps=True
+        ), weights),
     ]
     for got, per_position in calls:
         assert len(got) == len(per_position)
@@ -492,20 +496,16 @@ def test_layer_sparsity_speedup_and_monotonicity(plan, cfg):
 
 @pytest.mark.parametrize("n, seed, pos", [(1, 0, 0), (64, 1, 5), (1024, 3, 35)])
 def test_survivor_order_is_the_seeded_permutation(n, seed, pos):
-    order = _survivor_order(n, seed, pos)
-    assert order.tolist() == np.random.default_rng((seed, pos)).permutation(n).tolist()
-    assert not order.flags.writeable
-    with pytest.raises(ValueError):
-        order[0] = 1
+    orders = _survivor_orders(n, seed, pos + 1)
+    assert orders[pos].tolist() == np.random.default_rng((seed, pos)).permutation(n).tolist()
+    assert orders.dtype == np.min_scalar_type(n - 1)
 
 
 def test_layer_reports_do_not_depend_on_sparsity_order(plan, cfg):
-    # the 0.6 and 0.9 points share one memoized survivor draw per position
+    # the 0.6 and 0.9 points read prefixes of one seeded survivor draw per position
     layer = LayerSpec("t", H=8, W=8, C=32, K=16, r=3, pad=1)
     runs = []
     for order in ((0.6, 0.9), (0.9, 0.6)):
-        _simulate_geometry.cache_clear()
-        _survivor_order.cache_clear()
         runs.append({s: simulate_layer(layer, plan, cfg, s, seed=4) for s in order})
     assert runs[0] == runs[1]
 
@@ -539,13 +539,22 @@ def test_layer_report_does_not_alias_memo(plan, cfg):
     assert simulate_layer(layer, plan, cfg, 0.7, seed=1) == want
 
 
-def test_layer_memo_holds_one_entry_per_block_grid(plan, cfg):
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(sim, name)
+    monkeypatch.setattr(sim, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_layer_memo_holds_one_entry_per_block_grid(plan, cfg, monkeypatch):
     # scale-4 VGG16 at m = 2: ten (K, C, tiles) geometries on nine padded block grids
     layers = scale_network(vgg16_spec(), 4).conv_layers()
-    _simulate_geometry.cache_clear()
+    stages, keys = (_count_calls(monkeypatch, name) for name in ("_matmul_stages", "_operand_keys"))
     dse_sweep(scale_network(vgg16_spec(), 4), [2], [0.0], cfg=cfg)
+    assert len(layers) == 18
     assert len({(layer.K, layer.C, layer.tile_counts(2)) for layer in layers}) == 10
-    assert _simulate_geometry.cache_info().currsize == 9
+    assert len(stages) == len({args[0] for args in stages}) == 9
+    assert keys == []
 
     # conv5_1 (4 tiles) and conv6_1 (1 tile) share the (32, 32, 1) grid
     by_name = {layer.name: layer for layer in layers}
@@ -568,14 +577,32 @@ def test_layer_memo_holds_one_entry_per_block_grid(plan, cfg):
     assert simulate_layer(by_name["conv5_1"], plan, cfg).busy_cycles == want.busy_cycles
 
 
-def test_operand_key_memo_holds_one_grid(cfg):
-    # dse prices a grid's sparsities back to back, so the replay's keys are kept for the last grid only
-    _simulate_geometry.cache_clear()
-    _operand_keys.cache_clear()
+def test_operand_key_memo_holds_one_grid(cfg, monkeypatch):
+    # a sweep builds each sparse grid's keys once, for all its sparsities and layers
+    keys = _count_calls(monkeypatch, "_operand_keys")
     dse_sweep(scale_network(vgg16_spec(), 4), [2, 4], [0.6, 0.9], cfg=cfg)
-    info = _operand_keys.cache_info()
-    assert info.misses >= 2 and info.hits >= 1
-    assert info.currsize == 1
+    assert len(keys) == 17
+
+
+def test_sweep_prices_each_layer_on_its_own_plan():
+    # at m = 2 all three layers pad to the (1, 1, 4) block grid, but b's r = 5 prices it at l = 6
+    net = parse_network_config("conv a 8 8 4 4 3 1\nconv b 8 8 4 4 5 2\nconv c 8 8 4 4 3 1\n")
+    rows = dse_sweep(net, [2], [0.0, 0.5], seed=3)
+    assert len(rows) == 6
+    for row in rows:
+        [layer] = [layer for layer in net.conv_layers() if layer.name == row.layer]
+        plan = make_plan(2, layer.r)
+        rep = simulate_layer(layer, plan, ArchConfig(l=plan.l), row.sparsity, seed=3)
+        got = (row.cycles, row.ext_fetches, row.block_matmuls)
+        assert got == (rep.total_cycles, rep.external_block_fetches, rep.block_matmuls_executed)
+
+
+def test_sweep_rows_do_not_depend_on_sparsity_order(cfg):
+    net = scale_network(vgg16_spec(), 8)
+    runs = [dse_sweep(net, [2, 4], order, cfg=cfg, seed=2) for order in ([0.6, 0.9], [0.9, 0.6])]
+    by_point = [{(row.layer, row.m, row.sparsity): row for row in rows} for rows in runs]
+    assert len(by_point[0]) == len(runs[0]) == len(runs[1])
+    assert by_point[0] == by_point[1]
 
 
 def test_every_report_derives_its_total_and_operand_slots(plan, cfg):
