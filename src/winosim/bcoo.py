@@ -130,7 +130,7 @@ def _check_record(u: BcooMatrix) -> None:
         raise BcooFormatError("BI must have exactly len(BN) + 1 entries")
     if bi[0]:
         raise BcooFormatError("BI[0] must be 0" if len(bn) else "empty matrix must have BI == [0]")
-    counts = np.diff(bi)
+    counts = bi[1:] - bi[:-1]
     if len(counts) and (low := counts.min()) <= 0:
         raise BcooFormatError("BI must be non-decreasing" if low < 0 else "BN lists a block with no nonzeros")
     if bi[-1] != len(an) or len(ai) != len(an) or len(aj) != len(an):
@@ -149,10 +149,11 @@ def _check_record(u: BcooMatrix) -> None:
         raise BcooFormatError("AN stores an explicit zero")
     if not np.isfinite(an).all():
         raise BcooFormatError("AN holds a non-finite value")
-    row, col = (coord.repeat(counts) for coord in _morton_decode_array(bn))  # block row and column
-    # row * l + ai < rows, rearranged so that it cannot overflow int64
-    if ((row > (rows - 1 - ai) // l) | (col > (cols - 1 - aj) // l)).any():
-        raise BcooFormatError("nonzero outside the logical matrix")
+    if (rows, cols) != (nbr * l, nbc * l):  # else every in-grid nonzero lies inside the matrix
+        row, col = (coord.repeat(counts) for coord in _morton_decode_array(bn))  # block row and column
+        # row * l + ai < rows, rearranged so that it cannot overflow int64
+        if ((row > (rows - 1 - ai) // l) | (col > (cols - 1 - aj) // l)).any():
+            raise BcooFormatError("nonzero outside the logical matrix")
     # Each nonzero lies strictly after its predecessor in the block, in
     # (AI, AJ) order, which also rules out duplicates.
     d_ai = ai[1:] - ai[:-1]
@@ -182,30 +183,23 @@ def bcoo_encode(zm: ZMortonMatrix) -> BcooMatrix:
     shape breaks the header rule, a nonzero lies in the padding outside
     its rows-by-cols matrix or a value is NaN or infinite.
     """
-    _check_header(zm.rows, zm.cols, zm.l)
+    rows, cols, l, blocks = zm.rows, zm.cols, zm.l, zm.blocks
+    _check_header(rows, cols, l)
     brow, bcol = _block_coords(zm)
     # block-major, row-major within a block; nonzero of a bool mask is the fast kind
-    flat = np.flatnonzero(zm.blocks != 0.0)
-    owner, ai, aj = np.unravel_index(flat, zm.blocks.shape)
-    padded = (zm.rows, zm.cols) != (zm.padded_rows, zm.padded_cols)  # else no entry lies outside
-    if padded and ((brow[owner] * zm.l + ai >= zm.rows) | (bcol[owner] * zm.l + aj >= zm.cols)).any():
+    flat = (blocks != 0.0).ravel().nonzero()[0]
+    owner, ai, aj = np.unravel_index(flat, blocks.shape)
+    padded = (rows, cols) != (zm.padded_rows, zm.padded_cols)  # else no entry lies outside
+    if padded and ((brow[owner] * l + ai >= rows) | (bcol[owner] * l + aj >= cols)).any():
         raise BcooFormatError("nonzero outside the logical matrix")
-    an = zm.blocks.ravel()[flat]
+    an = blocks.ravel().take(flat)
     if not np.isfinite(an).all():
         raise BcooFormatError("AN holds a non-finite value")
-    codes = zm.block_codes
-    counts = np.bincount(owner, minlength=len(codes))
-    stored = counts > 0
-    return BcooMatrix._trusted(
-        rows=zm.rows,
-        cols=zm.cols,
-        l=zm.l,
-        bn=codes[stored],
-        bi=np.concatenate(([0], np.cumsum(counts[stored]))),
-        ai=ai,
-        aj=aj,
-        an=an,
-    )
+    counts = np.bincount(owner, minlength=len(brow))
+    stored = counts.nonzero()[0]
+    bi = np.zeros(len(stored) + 1, np.int64)
+    counts.take(stored).cumsum(out=bi[1:])
+    return BcooMatrix._trusted(rows=rows, cols=cols, l=l, bn=zm.block_codes.take(stored), bi=bi, ai=ai, aj=aj, an=an)
 
 
 def bcoo_decode(b: BcooMatrix) -> ZMortonMatrix:
@@ -257,7 +251,7 @@ def _prune_dense(dense: np.ndarray, target_sparsity: float) -> None:
     mag = np.abs(dense)
     cut = np.partition(mag, needed - 1, axis=None)[needed - 1]
     below = mag < cut
-    dense[below] = 0.0
+    np.putmask(dense, below, 0.0)
     ties = np.flatnonzero(mag == cut)[: needed - np.count_nonzero(below)]
     dense[np.unravel_index(ties, dense.shape)] = 0.0
 
@@ -298,7 +292,8 @@ def bcoo_from_bytes(buf: bytes, offset: int = 0) -> tuple[BcooMatrix, int]:
     if len(buf) < end:
         raise BcooFormatError("truncated BCOO payload")
     ints = np.frombuffer(buf, dtype="<i8", count=n_ints, offset=pos)  # BcooMatrix copies it
-    bn, bi, ai, aj = np.split(ints, np.cumsum([n_blocks, n_blocks + 1, nnz]))
+    ai_at = 2 * n_blocks + 1
+    bn, bi, ai, aj = ints[:n_blocks], ints[n_blocks:ai_at], ints[ai_at : ai_at + nnz], ints[ai_at + nnz :]
     an = np.frombuffer(buf, dtype="<f8", count=nnz, offset=pos + 8 * n_ints)
     return BcooMatrix(rows=rows, cols=cols, l=l, bn=bn, bi=bi, ai=ai, aj=aj, an=an), end
 

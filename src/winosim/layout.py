@@ -184,6 +184,17 @@ def _grid_coords(block_rows: int, block_cols: int) -> tuple[np.ndarray, np.ndarr
     return coords
 
 
+@lru_cache(maxsize=16)
+def _morton_order(block_rows: int, block_cols: int, l: int) -> np.ndarray:
+    """Row-major index into the padded matrix of every entry, in Morton block order; read-only, as the cache shares it."""
+    brow, bcol = _grid_coords(block_rows, block_cols)
+    side = np.arange(l)
+    row_start = (brow[:, None] * l + side) * (block_cols * l)  # (n_blocks, l): each block row's first entry
+    order = (row_start[:, :, None] + (bcol[:, None] * l + side)[:, None, :]).ravel()
+    order.setflags(write=False)
+    return order
+
+
 def _grid_extents(rows: int, cols: int, l: int) -> tuple[int, int]:
     """(block rows, block cols) of a rows-by-cols matrix; ValueError if its padded grid exceeds _GRID_LIMIT entries."""
     if l < 1:
@@ -207,9 +218,7 @@ def to_zmorton(dense, l: int) -> ZMortonMatrix:
         padded = np.zeros((nbr * l, nbc * l))
         padded[:rows, :cols] = dense
         dense = padded
-    brow, bcol = _grid_coords(nbr, nbc)
-    # Advanced indices split by a slice put the block axis first: (n_blocks, l, l).
-    blocks = dense.reshape(nbr, l, nbc, l)[brow, :, bcol, :]
+    blocks = dense.ravel().take(_morton_order(nbr, nbc, l)).reshape(-1, l, l)
     return ZMortonMatrix(rows=rows, cols=cols, l=l, blocks=blocks)
 
 
@@ -227,9 +236,9 @@ def from_zmorton(zm: ZMortonMatrix) -> np.ndarray:
     """Recover the logical row-major matrix (padding dropped) in a fresh array."""
     l = zm.l
     nbr, nbc = zm.block_rows, zm.block_cols
-    brow, bcol = _block_coords(zm)
-    grid = np.empty((nbr, l, nbc, l))  # every block is written below
-    grid[brow, :, bcol, :] = zm.blocks
+    _block_coords(zm)  # ValueError unless the blocks fill the grid
+    grid = np.empty(nbr * l * nbc * l)  # every entry is written below
+    grid[_morton_order(nbr, nbc, l)] = zm.blocks.ravel()
     return grid.reshape(nbr * l, nbc * l)[: zm.rows, : zm.cols]
 
 

@@ -150,10 +150,20 @@ def simulate_transform(tile_count: int, cfg: ArchConfig) -> SimReport:
     """
     if tile_count < 0:
         raise ValueError("tile_count must be >= 0")
-    n, issue = cfg.transform_arrays, cfg.cycles_per_block_matmul_issue
+    n = cfg.transform_arrays
     per_array = [tile_count // n + (1 if i < tile_count % n else 0) for i in range(n)]
-    busy = [2 * (cfg.transform_pass_cycles + (t - 1) * issue) if t else 0 for t in per_array]
-    return SimReport(transform_cycles=max(busy), busy_cycles=busy)  # transform_arrays >= 1
+    busy = [_array_transform_cycles(t, cfg) for t in per_array]
+    return SimReport(transform_cycles=_transform_stage_cycles(tile_count, cfg), busy_cycles=busy)
+
+
+def _array_transform_cycles(tiles: int, cfg: ArchConfig) -> int:
+    """Busy cycles of one transform array given `tiles` tiles: two passes, each one tile per issue after the first."""
+    return 2 * (cfg.transform_pass_cycles + (tiles - 1) * cfg.cycles_per_block_matmul_issue) if tiles else 0
+
+
+def _transform_stage_cycles(tile_count: int, cfg: ArchConfig) -> int:
+    """simulate_transform(tile_count, cfg).transform_cycles: the busiest array holds ceil(tile_count / n) tiles."""
+    return _array_transform_cycles(-(-tile_count // cfg.transform_arrays), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +430,7 @@ def _simulate_sparsities(layer, plan: WinogradPlan, cfg: ArchConfig, sparsities,
     grid = tuple(_block_extent(n, cfg.l) for n in (layer.K, layer.C, P))
     if grid not in priced:
         priced[grid] = _matmul_stages(grid, cfg, sparsities, seed)
-    transform = simulate_transform(layer.C * P, cfg).transform_cycles
-    inverse = simulate_transform(layer.K * P, cfg).transform_cycles
+    transform, inverse = (_transform_stage_cycles(n * P, cfg) for n in (layer.C, layer.K))
     return [
         replace(stage, busy_cycles=list(stage.busy_cycles), transform_cycles=transform, inverse_cycles=inverse)
         for stage in priced[grid]

@@ -323,6 +323,28 @@ def test_validate_rejects_nonzero_in_layout_padding():
             _record(6, 3, 4, bn=[2], bi=[0, 1], ai=[ai], aj=[aj], an=[1.0])
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"bn": [4]}, "BN contains a block number outside the grid"),
+    ({"bn": [-1]}, "BN contains a block number outside the grid"),
+    ({"ai": [4]}, r"AI entry outside \[0, l\)"),
+    ({"ai": [-1]}, r"AI entry outside \[0, l\)"),
+    ({"aj": [4]}, r"AJ entry outside \[0, l\)"),
+    ({"aj": [-1]}, r"AJ entry outside \[0, l\)"),
+], ids=["bn-past-grid", "bn-negative", "ai-at-l", "ai-negative", "aj-at-l", "aj-negative"])
+def test_unpadded_record_refuses_entries_off_its_grid(fields, message):
+    # an 8x8 matrix at l = 4 fills its 2x2 block grid, so no outside-matrix test runs
+    words = {"bn": [3], "bi": [0, 1], "ai": [3], "aj": [3], "an": [1.0]}
+    _record(8, 8, 4, **words)
+    bad = {**words, **fields}
+    for build in (lambda: _record(8, 8, 4, **bad), lambda: bcoo_from_bytes(_blob(8, 8, 4, **bad))):
+        with pytest.raises(BcooFormatError, match=message):
+            build()
+    # the padded 7x7 matrix on the same grid still refuses the last row and column
+    for ai, aj in ((3, 0), (0, 3)):
+        with pytest.raises(BcooFormatError, match="nonzero outside the logical matrix"):
+            _record(7, 7, 4, **{**words, "ai": [ai], "aj": [aj]})
+
+
 @st.composite
 def _bcoo_like_records(draw):
     """Records of small matrices with consistent counts, one word possibly replaced."""

@@ -4,11 +4,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from winosim.layout import (
+    ZMortonMatrix,
     _block_extent,
     _morton_decode_array,
     _filter_stack,
     _grid_codes,
+    _grid_coords,
     _input_stack,
+    _morton_order,
     _output_extent,
     _tile_counts,
     assemble_output,
@@ -185,6 +188,62 @@ def test_zmorton_packing_matches_padded_grid_reference(block_rows, block_cols, l
     assert back.tobytes() == m.tobytes()
     # both directions copy: neither result shares memory with its source
     assert not np.shares_memory(zm.blocks, m) and not np.shares_memory(back, zm.blocks)
+
+
+def _two_index_to_zmorton_blocks(dense, l):
+    """Packing by a (block row, block col) fancy index over the padded 4-D grid view."""
+    nbr, nbc = _block_extent(dense.shape[0], l), _block_extent(dense.shape[1], l)
+    padded = np.zeros((nbr * l, nbc * l))
+    padded[: dense.shape[0], : dense.shape[1]] = dense
+    brow, bcol = _grid_coords(nbr, nbc)
+    return padded.reshape(nbr, l, nbc, l)[brow, :, bcol, :]
+
+
+def _two_index_from_zmorton(zm):
+    """Scattering by the same two-index fancy index, padding dropped."""
+    l, nbr, nbc = zm.l, zm.block_rows, zm.block_cols
+    brow, bcol = _grid_coords(nbr, nbc)
+    grid = np.empty((nbr, l, nbc, l))
+    grid[brow, :, bcol, :] = zm.blocks
+    return grid.reshape(nbr * l, nbc * l)[: zm.rows, : zm.cols]
+
+
+@st.composite
+def _axis_extent(draw, l):
+    """1-70 entries, or (about half the time) a power-of-two count of whole blocks, so no padding."""
+    if draw(st.booleans()):
+        return draw(st.integers(1, 70))
+    return l * draw(st.sampled_from([p for p in (1, 2, 4, 8, 16, 32, 64) if p * l <= 70]))
+
+
+def _signed_zero_matrix(rng, shape):
+    m = rng.uniform(-1, 1, shape)
+    m[rng.random(shape) < 0.3] = 0.0
+    m[rng.random(shape) < 0.3] = -0.0
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), l=st.integers(1, 7), seed=st.integers(0, 1000))
+def test_morton_order_packing_matches_two_index_reference(data, l, seed):
+    rows, cols = data.draw(_axis_extent(l)), data.draw(_axis_extent(l))
+    rng = np.random.default_rng(seed)
+    m = _signed_zero_matrix(rng, (rows, cols))
+    zm = to_zmorton(m, l)
+    assert zm.blocks.tobytes() == _two_index_to_zmorton_blocks(m, l).tobytes()
+    assert from_zmorton(zm).tobytes() == _two_index_from_zmorton(zm).tobytes() == m.tobytes()
+    # blocks that also fill the padding: both scatters drop it alike
+    stray = ZMortonMatrix(rows=rows, cols=cols, l=l, blocks=_signed_zero_matrix(rng, zm.blocks.shape))
+    assert from_zmorton(stray).tobytes() == _two_index_from_zmorton(stray).tobytes()
+
+
+def test_morton_order_shared_read_only():
+    order = _morton_order(2, 4, 3)
+    assert order is _morton_order(2, 4, 3)
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = 7
+    assert sorted(order.tolist()) == list(range(2 * 4 * 3 * 3))
 
 
 def test_block_extent_rounds_block_count_up_to_power_of_two():

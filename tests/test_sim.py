@@ -29,6 +29,7 @@ from winosim.sim import (
     _run_cluster_schedules,
     _run_dense_schedule,
     _survivor_orders,
+    _transform_stage_cycles,
 )
 
 
@@ -298,6 +299,18 @@ def test_transform_pipeline_and_distribution(cfg):
     assert all(b <= rep.total_cycles for b in rep.busy_cycles)
 
 
+def test_transform_stage_closed_form_matches_busiest_array():
+    for l in (4, 6):
+        for n in range(1, 34):
+            cfg = ArchConfig(l=l, transform_arrays=n)
+            for tiles in range(301):
+                per_array = [tiles // n + (1 if i < tiles % n else 0) for i in range(n)]
+                busy = [2 * (l + 2 * (l - 1) + (t - 1) * l) if t else 0 for t in per_array]
+                rep = simulate_transform(tiles, cfg)
+                assert rep.busy_cycles == busy
+                assert _transform_stage_cycles(tiles, cfg) == rep.transform_cycles == max(busy)
+
+
 # ---------------------------------------------------------------------------
 # dense cluster
 
@@ -517,7 +530,7 @@ def test_layer_rejects_plan_for_other_filter_width():
         simulate_layer(layer, make_plan(2, 5), ArchConfig(l=6))
 
 
-def test_layer_memo_keys_on_config_seed_and_geometry(plan, cfg):
+def test_layer_report_depends_on_config_seed_and_geometry(plan, cfg):
     layer = LayerSpec("a", H=8, W=8, C=16, K=16, r=3, pad=1)
     base = simulate_layer(layer, plan, cfg, 0.7, seed=1)
     assert simulate_layer(layer, plan, ArchConfig(fifo_depth=2), 0.7, seed=1) != base
@@ -530,7 +543,7 @@ def test_layer_memo_keys_on_config_seed_and_geometry(plan, cfg):
         cfg.fifo_depth = 2
 
 
-def test_layer_report_does_not_alias_memo(plan, cfg):
+def test_layer_report_does_not_alias_a_later_report(plan, cfg):
     layer = LayerSpec("t", H=8, W=8, C=16, K=16, r=3, pad=1)
     first = simulate_layer(layer, plan, cfg, 0.7, seed=1)
     want = dataclasses.replace(first, busy_cycles=list(first.busy_cycles))
@@ -546,7 +559,7 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_layer_memo_holds_one_entry_per_block_grid(plan, cfg, monkeypatch):
+def test_sweep_prices_each_block_grid_once(plan, cfg, monkeypatch):
     # scale-4 VGG16 at m = 2: ten (K, C, tiles) geometries on nine padded block grids
     layers = scale_network(vgg16_spec(), 4).conv_layers()
     stages, keys = (_count_calls(monkeypatch, name) for name in ("_matmul_stages", "_operand_keys"))
@@ -577,7 +590,7 @@ def test_layer_memo_holds_one_entry_per_block_grid(plan, cfg, monkeypatch):
     assert simulate_layer(by_name["conv5_1"], plan, cfg).busy_cycles == want.busy_cycles
 
 
-def test_operand_key_memo_holds_one_grid(cfg, monkeypatch):
+def test_sweep_builds_each_sparse_grid_keys_once(cfg, monkeypatch):
     # a sweep builds each sparse grid's keys once, for all its sparsities and layers
     keys = _count_calls(monkeypatch, "_operand_keys")
     dse_sweep(scale_network(vgg16_spec(), 4), [2, 4], [0.6, 0.9], cfg=cfg)
